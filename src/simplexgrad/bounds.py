@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import ball_gamma_ratio
-from .regions import SampleMatrix, sample_radius
+from .regions import SampleMatrix, _gram_spectrum, sample_radius
 
 __all__ = [
     "RankDeficiencyError",
@@ -60,9 +60,25 @@ def _directions(sample) -> np.ndarray:
     return arr
 
 
-def _min_max_singular(a: np.ndarray) -> tuple[float, float]:
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[-1]), float(s[0])
+# The Gram route is taken only while cond(S) <= 1e3, where sqrt(lambda_min) has a
+# relative error of about cond(S)^2 eps <= 1e-10 (Higham, ch. 20). Worse-conditioned
+# samples, rank-deficient ones included, take the SVD of S / delta.
+_GRAM_ROUTE_MIN_RATIO = 1e-6
+
+
+def _min_max_singular(sample, delta: float) -> tuple[float, float]:
+    """Smallest and largest singular values of ``S / delta``.
+
+    Read from the Gram spectrum (the sample's shared one for a
+    ``SampleMatrix``) when S is well conditioned, else from an SVD.
+    """
+    s = _directions(sample)
+    _, eigvals = sample.gram_spectrum if isinstance(sample, SampleMatrix) else _gram_spectrum(s)
+    lo, hi = float(eigvals[0]), float(eigvals[-1])
+    if hi > 0 and lo >= _GRAM_ROUTE_MIN_RATIO * hi:
+        return math.sqrt(lo) / delta, math.sqrt(hi) / delta
+    sv = np.linalg.svd(s / delta, compute_uv=False)
+    return float(sv[-1]), float(sv[0])
 
 
 def classical_bound(sample, grad_lipschitz: float) -> BoundReport:
@@ -75,10 +91,9 @@ def classical_bound(sample, grad_lipschitz: float) -> BoundReport:
     """
     if grad_lipschitz < 0:
         raise ValueError("grad_lipschitz must be nonnegative")
-    s = _directions(sample)
-    n, cols = s.shape
-    radius = sample_radius(s)
-    smin, smax = _min_max_singular(s / radius)
+    cols = _directions(sample).shape[1]
+    radius = sample_radius(sample)
+    smin, smax = _min_max_singular(sample, radius)
     if smin <= 1e-12 * smax:
         raise RankDeficiencyError("sample matrix must have full row rank")
     value = math.sqrt(cols) / 2.0 * grad_lipschitz * (1.0 / smin) * radius
@@ -99,12 +114,11 @@ def centered_bound(half_sample, hess_lipschitz: float, radius: float | None = No
     """
     if hess_lipschitz < 0:
         raise ValueError("hess_lipschitz must be nonnegative")
-    a = _directions(half_sample)
-    n, half_cols = a.shape
-    delta = sample_radius(a) if radius is None else float(radius)
+    half_cols = _directions(half_sample).shape[1]
+    delta = sample_radius(half_sample) if radius is None else float(radius)
     if delta <= 0:
         raise ValueError("radius must be positive")
-    smin, smax = _min_max_singular(a / delta)
+    smin, smax = _min_max_singular(half_sample, delta)
     if smin <= 1e-12 * smax:
         raise RankDeficiencyError("half sample must have full row rank")
     cols = 2 * half_cols

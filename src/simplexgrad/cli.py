@@ -9,7 +9,9 @@ Subcommands:
 * ``list-fields`` -- show the field registry.
 
 Exit codes: 0 on pass, 1 on any tolerance failure (a failed reproduction
-check or a bound-domination violation), 2 on usage errors.
+check or a bound-domination violation), 2 on usage errors, 3 when the
+field cannot be evaluated at a sample point (an error or a non-finite
+value).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from pathlib import Path
 
 from .experiments import REPRODUCE_IDS, ExperimentConfig, convergence, reproduce
 from .fields import field_ids, get_field
+from .gsg import EvaluationError
 
 __all__ = ["main"]
 
@@ -27,14 +30,20 @@ __all__ = ["main"]
 def _parse_schedule(text: str) -> tuple[int, ...]:
     """Per-axis counts: either '2^2..2^10' (powers of two) or '4,8,16'."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        klo = _parse_power(lo)
-        khi = _parse_power(hi)
-        if khi < klo:
-            raise ValueError("schedule range is empty")
-        return tuple(2**k for k in range(klo, khi + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            klo = _parse_power(lo)
+            khi = _parse_power(hi)
+        else:
+            return tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError as exc:
+        raise ValueError(
+            f"invalid schedule {text!r} ({exc}); use '2^a..2^b' (powers of two) or a list like '4,8,16'"
+        ) from None
+    if khi < klo:
+        raise ValueError("schedule range is empty")
+    return tuple(2**k for k in range(klo, khi + 1))
 
 
 def _parse_power(tok: str) -> int:
@@ -139,6 +148,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ computed-versus-expected at fixed tolerances. ``convergence`` runs a
 schedule of sample densities for one field on one region and emits a
 versioned CSV with, per row, the finite-sample gradient error, the
 classical bound, the mirrored-structure bound where the sample has one
-(ball grids with an even azimuthal count), the N-independent limit bound,
+(2-d ball grids with an even azimuthal count), the N-independent limit bound,
 and the limit-estimate error. Rows are deterministic for a fixed seed.
 """
 
@@ -202,6 +202,11 @@ class ExperimentConfig:
             raise ValueError("ball runs support only grid sampling")
         if not self.schedule:
             raise ValueError("schedule must be nonempty")
+        # rejected here too, before the limit quadrature runs on them
+        if not all(math.isfinite(v) for v in self.sides):
+            raise ValueError("side lengths must be finite")
+        if not math.isfinite(self.radius):
+            raise ValueError("radius must be finite")
         get_field(self.field_id)  # raises for unknown ids
 
 
@@ -317,7 +322,7 @@ def convergence(config: ExperimentConfig) -> ConvergenceResult:
         else:
             region = BallRegion(x0=tuple(x0), r=config.radius, counts=counts)
             sample = ball_grid_sample(region)
-            if counts[1] % 2 == 0:
+            if sample.dim == 2 and counts[1] % 2 == 0:
                 half = antipodal_half(sample)
                 centered = centered_bound(half, hess_lip, radius=sample_radius(sample)).value
             else:

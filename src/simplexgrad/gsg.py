@@ -9,13 +9,14 @@ implementation solves when S has more columns than rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .linalg import pseudoinverse
-from .regions import SampleMatrix, sample_radius
+from .regions import SampleMatrix, _gram_spectrum, sample_radius
 
 __all__ = [
     "EvaluationError",
@@ -84,7 +85,13 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """Gradient estimate with the context needed to audit it."""
+    """Gradient estimate with the context needed to audit it.
+
+    ``route`` is the solve that produced it (``"normal-equations"`` or
+    ``"svd"``) and ``cond`` is ``sqrt(lambda_max / lambda_min)`` of the
+    sample's Gram matrix, i.e. cond(S), infinite when lambda_min <= 0.
+    Neither is written by ``to_csv_row``.
+    """
 
     estimate: np.ndarray
     x0: np.ndarray
@@ -92,6 +99,8 @@ class GradientEstimate:
     n_samples: int
     true_gradient: np.ndarray | None = None
     error: float | None = None
+    route: str | None = None
+    cond: float | None = None
 
     CSV_HEADER = "x0,n_samples,radius,estimate,error,bounds"
 
@@ -150,22 +159,25 @@ def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
 
     Solves the normal equations when the sample has more columns than rows
     and full row rank; otherwise falls back to the SVD pseudoinverse. Both
-    routes agree (to roundoff) whenever S has full row rank.
+    routes agree (to roundoff) whenever S has full row rank. The Gram
+    matrix and its eigenvalues are the sample's shared ``gram_spectrum``.
     """
     s = _directions(sample)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     df = function_increments(field, x0, sample)
     n, cols = s.shape
+    gram, eigvals = sample.gram_spectrum if isinstance(sample, SampleMatrix) else _gram_spectrum(s)
+    cond = math.sqrt(eigvals[-1] / eigvals[0]) if eigvals[0] > 0 else math.inf
     estimate = None
     if cols >= n:
-        gram = s @ s.T
-        eigvals = np.linalg.eigvalsh(gram)
         cutoff = (max(n, cols) * np.finfo(float).eps) ** 2 * max(eigvals[-1], 0.0)
         if eigvals[0] > cutoff:
             estimate = np.linalg.solve(gram.T, s @ df)
+            route = "normal-equations"
     if estimate is None:
         # rank-deficient or wide-but-singular sample: SVD pseudoinverse route
         estimate = pseudoinverse(s).T @ df
+        route = "svd"
     true_grad = None
     error = None
     if field.grad is not None:
@@ -174,8 +186,10 @@ def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
     return GradientEstimate(
         estimate=estimate,
         x0=x0,
-        radius=sample_radius(s),
+        radius=sample_radius(sample),
         n_samples=cols,
         true_gradient=true_grad,
         error=error,
+        route=route,
+        cond=cond,
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,8 @@ class HyperrectRegion:
             raise ValueError("x0, d and counts must have matching lengths")
         if any(not math.isfinite(v) for v in self.x0):
             raise ValueError("x0 must be finite")
+        if any(not math.isfinite(v) for v in self.d):
+            raise ValueError("side lengths must be finite")
         if any(v <= 0 for v in self.d):
             raise ValueError("side lengths must be positive")
         if any(c < 2 for c in self.counts):
@@ -109,6 +112,8 @@ class BallRegion:
             raise ValueError("counts must have one entry per dimension")
         if any(not math.isfinite(v) for v in self.x0):
             raise ValueError("x0 must be finite")
+        if not math.isfinite(self.r):
+            raise ValueError("radius must be finite")
         if self.r <= 0:
             raise ValueError("radius must be positive")
         if any(c < 3 for c in self.counts):
@@ -128,13 +133,33 @@ class SampleMatrix:
     """Direction matrix with per-column partition indices.
 
     ``directions`` is n x N; ``indices`` is N x n and holds the 1-based
-    multi-index of the cell each column samples.
+    multi-index of the cell each column samples. Both arrays are made
+    read-only on construction, so the radius and Gram spectrum, computed
+    once on first use and shared by the estimator and the bounds, cannot
+    go stale.
     """
 
     directions: np.ndarray
     tag: str
     indices: np.ndarray
     region: HyperrectRegion | BallRegion | None = field(repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        self.directions.flags.writeable = False
+        self.indices.flags.writeable = False
+
+    @cached_property
+    def radius(self) -> float:
+        """Largest column norm."""
+        return _radius(self.directions)
+
+    @cached_property
+    def gram_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gram matrix ``S S^T`` and its eigenvalues in ascending order (read-only)."""
+        gram, eigvals = _gram_spectrum(self.directions)
+        gram.flags.writeable = False
+        eigvals.flags.writeable = False
+        return gram, eigvals
 
     @property
     def dim(self) -> int:
@@ -309,9 +334,23 @@ def grid_jacobian(region: BallRegion, y) -> float:
     return float(value)
 
 
-def sample_radius(sample) -> float:
-    """Largest column norm of a sample matrix (or plain direction array)."""
-    directions = sample.directions if isinstance(sample, SampleMatrix) else np.asarray(sample, dtype=float)
+def _radius(directions: np.ndarray) -> float:
     if directions.size == 0:
         raise ValueError("sample matrix is empty")
-    return float(np.max(np.linalg.norm(directions, axis=0)))
+    # sqrt(max sum of squares) rounds exactly like max(norm(axis=0)), without an n x N temporary
+    return float(np.sqrt(np.max(np.einsum("ij,ij->j", directions, directions))))
+
+
+def _gram_spectrum(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    gram = directions @ directions.T
+    return gram, np.linalg.eigvalsh(gram)
+
+
+def sample_radius(sample) -> float:
+    """Largest column norm of a sample matrix (or plain direction array).
+
+    For a ``SampleMatrix`` this is its cached ``radius``.
+    """
+    if isinstance(sample, SampleMatrix):
+        return sample.radius
+    return _radius(np.asarray(sample, dtype=float))

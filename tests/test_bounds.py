@@ -12,12 +12,21 @@ from simplexgrad.bounds import (
     limit_bound_ball,
     limit_bound_box,
 )
+from simplexgrad.experiments import antipodal_half
 from simplexgrad.fields import get_field
 from simplexgrad.gsg import simplex_gradient
 from simplexgrad.limits import limit_gradient_ball
 from simplexgrad.linalg import pseudoinverse, spectral_norm
 from simplexgrad.quadrature import QuadratureSpec
-from simplexgrad.regions import sample_radius
+from simplexgrad.regions import (
+    BallRegion,
+    HyperrectRegion,
+    SampleMatrix,
+    ball_grid_sample,
+    rect_arbitrary_sample,
+    rect_grid_sample,
+    sample_radius,
+)
 
 RNG = np.random.default_rng(2718)
 
@@ -93,6 +102,71 @@ class TestCenteredBound:
     def test_rank_deficient_half_rejected(self):
         with pytest.raises(RankDeficiencyError):
             centered_bound(np.array([[1.0, 2.0], [2.0, 4.0]]), 1.0)
+
+
+def svd_classical_value(s: np.ndarray, lip: float) -> float:
+    """The classical bound from an SVD of S / Delta, as computed before the Gram route."""
+    radius = sample_radius(s)
+    smin = np.linalg.svd(s / radius, compute_uv=False)[-1]
+    return math.sqrt(s.shape[1]) / 2.0 * lip * (1.0 / smin) * radius
+
+
+def svd_centered_value(a: np.ndarray, lip: float, delta: float) -> float:
+    smin = np.linalg.svd(a / delta, compute_uv=False)[-1]
+    return math.sqrt(2 * a.shape[1]) / 6.0 * lip * (1.0 / smin) * delta**2
+
+
+SPECTRAL_SAMPLES = {
+    "rect-2d": lambda: rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 2.0), (16, 12))),
+    "rect-3d": lambda: rect_grid_sample(HyperrectRegion((0.0,) * 3, (1.0, 0.5, 2.0), (6, 7, 8))),
+    "rect-arbitrary-2d": lambda: rect_arbitrary_sample(HyperrectRegion((0.0, 0.0), (3.0, 1.0), (20, 9)), seed=4),
+    "rect-arbitrary-3d": lambda: rect_arbitrary_sample(HyperrectRegion((0.0,) * 3, (1.0, 1.0, 1.0), (5, 6, 7)), seed=5),
+    "ball-2d": lambda: ball_grid_sample(BallRegion((0.0, 0.0), 2.0, (9, 16))),
+    "ball-3d": lambda: ball_grid_sample(BallRegion((0.0,) * 3, 1.0, (5, 8, 7))),
+}
+
+
+class TestSpectralRoute:
+    @pytest.mark.parametrize("name", list(SPECTRAL_SAMPLES))
+    def test_classical_matches_svd(self, name):
+        sample = SPECTRAL_SAMPLES[name]()
+        want = svd_classical_value(np.array(sample.directions), 1.7)
+        assert classical_bound(sample, 1.7).value == pytest.approx(want, rel=1e-12)
+        assert classical_bound(np.array(sample.directions), 1.7).value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(SPECTRAL_SAMPLES))
+    def test_centered_matches_svd(self, name):
+        sample = SPECTRAL_SAMPLES[name]()
+        half = np.array(sample.directions)
+        delta = 1.25 * sample_radius(sample)
+        want = svd_centered_value(half, 0.8, delta)
+        assert centered_bound(half, 0.8, radius=delta).value == pytest.approx(want, rel=1e-12)
+        assert centered_bound(sample, 0.8, radius=delta).value == pytest.approx(want, rel=1e-12)
+
+    def test_mirrored_ball_half_matches_svd(self):
+        sample = ball_grid_sample(BallRegion((0.0, 0.0), 1.0, (12, 32)))
+        half = antipodal_half(sample)
+        delta = sample_radius(sample)
+        want = svd_centered_value(half, 6.0, delta)
+        assert centered_bound(half, 6.0, radius=delta).value == pytest.approx(want, rel=1e-12)
+
+    def test_thin_box_falls_back_to_svd_exactly(self):
+        sample = rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 1e-8), (8, 8)))
+        _, eigvals = sample.gram_spectrum
+        assert eigvals[0] < 1e-6 * eigvals[-1]  # cond(S) > 1e3: outside the Gram route
+        assert classical_bound(sample, 2.0).value == svd_classical_value(np.array(sample.directions), 2.0)
+        delta = sample_radius(sample)
+        assert centered_bound(sample, 3.0, radius=delta).value == svd_centered_value(
+            np.array(sample.directions), 3.0, delta
+        )
+
+    def test_rank_deficient_sample_matrix_rejected(self):
+        directions = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        sample = SampleMatrix(directions, "rect-grid", np.array([[1, 1], [2, 1], [3, 1]]))
+        with pytest.raises(RankDeficiencyError):
+            classical_bound(sample, 1.0)
+        with pytest.raises(RankDeficiencyError):
+            centered_bound(sample, 1.0)
 
 
 class TestLimitBoundBox:

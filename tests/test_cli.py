@@ -22,6 +22,11 @@ class TestScheduleParsing:
         with pytest.raises(ValueError):
             _parse_schedule("2^5..2^2")
 
+    @pytest.mark.parametrize("text", ["4,2^3", "2^2..8", "four"])
+    def test_mixed_forms_name_the_accepted_ones(self, text):
+        with pytest.raises(ValueError, match=r"'2\^a\.\.2\^b'.*'4,8,16'"):
+            _parse_schedule(text)
+
 
 class TestCli:
     def test_list_fields(self, capsys):
@@ -114,3 +119,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "x0,0.0;0.0" in out
+
+    def test_three_dimensional_ball_with_even_counts(self, capsys):
+        code = main(["convergence", "--field", "affine3", "--region", "ball", "--schedule", "2^2..2^3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[9:]]
+        assert [row[1] for row in rows] == ["4x4x4", "8x8x8"]
+        assert all(row[6] == "" for row in rows)  # no mirrored structure in 3-d: centered_bound blank
+
+    @pytest.mark.parametrize(
+        "args", [["--region", "rect", "--sides", "1,inf"], ["--region", "ball", "--radius", "nan"]]
+    )
+    def test_non_finite_region_is_usage_error(self, args, capsys):
+        code = main(["convergence", "--field", "cubic2", *args, "--schedule", "4", "--nodes", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_evaluation_failure_is_one_line_error(self, capsys):
+        code = main(["convergence", "--field", "cubic2", "--region", "rect", "--x0", "1e300,1e300",
+                     "--schedule", "4", "--nodes", "8"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            "error: field evaluation failed at column -1 (point [1.e+300 1.e+300]): non-finite value inf"
+        ]
+        assert "Traceback" not in err

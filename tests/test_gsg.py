@@ -161,6 +161,22 @@ class TestScalarField:
             QUAD2(np.zeros((4, 3)))
 
 
+class TestRouteAndConditioning:
+    def test_well_conditioned_grid(self):
+        sample = rect_grid_sample(HyperrectRegion((3.0, 1.0), (1.0, 2.0), (16, 16)))
+        est = simplex_gradient(QUAD2, (3.0, 1.0), sample)
+        assert est.route == "normal-equations"
+        assert est.cond == pytest.approx(np.linalg.cond(np.array(sample.directions)), rel=1e-10)
+        assert "normal" not in est.to_csv_row()
+
+    def test_rank_deficient_sample(self):
+        s = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        est = simplex_gradient(QUAD2, (3.0, 1.0), s)
+        assert est.route == "svd"
+        assert est.cond > 1e7
+        assert np.allclose(est.estimate, pseudoinverse(s).T @ function_increments(QUAD2, (3.0, 1.0), s))
+
+
 def test_gradient_estimate_csv_row():
     est = GradientEstimate(
         estimate=np.array([1.0, 2.0]),

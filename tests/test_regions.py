@@ -72,6 +72,11 @@ class TestRectGrid:
         with pytest.raises(ValueError):
             HyperrectRegion((0.0, 0.0), (1.0, 1.0), (1, 2))
 
+    @pytest.mark.parametrize("d", [(1.0, math.inf), (math.nan, 1.0), (1.0, -math.inf)])
+    def test_non_finite_sides_rejected(self, d):
+        with pytest.raises(ValueError, match="finite"):
+            HyperrectRegion((0.0, 0.0), d, (2, 2))
+
 
 class TestRectArbitrary:
     def test_zero_offsets_recover_grid(self):
@@ -165,6 +170,11 @@ class TestBallGrid:
         with pytest.raises(ValueError):
             BallRegion((0.0, 0.0), 0.0, (3, 3))
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            BallRegion((0.0, 0.0), r, (3, 3))
+
 
 class TestSphericalConversion:
     def test_zero_radius(self):
@@ -253,6 +263,48 @@ class TestSampleRadius:
         for n in (2, 3, 4):
             sample = rect_grid_sample(HyperrectRegion((0.0,) * n, (1.0,) * n, (2,) * n))
             assert sample_radius(sample) == pytest.approx(math.sqrt(n), rel=1e-14)
+
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 3.0), (64, 48))),
+            rect_arbitrary_sample(HyperrectRegion((0.0,) * 3, (0.3, 1.0, 7.0), (9, 10, 11)), seed=2),
+            ball_grid_sample(BallRegion((0.0, 0.0), 1.7, (33, 40))),
+            ball_grid_sample(BallRegion((0.0,) * 4, 0.9, (5, 6, 7, 8))),
+        ],
+        ids=["rect", "rect-arbitrary-3d", "ball", "ball-4d"],
+    )
+    def test_cached_radius_is_bitwise_the_column_norm_maximum(self, sample):
+        plain = np.array(sample.directions)
+        assert sample_radius(sample) == sample_radius(sample.directions) == sample_radius(plain)
+        assert sample_radius(sample) == float(np.max(np.linalg.norm(plain, axis=0)))
+        assert sample_radius(np.asfortranarray(plain)) == sample_radius(sample)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            sample_radius(np.zeros((2, 0)))
+
+
+class TestSharedSpectrum:
+    def test_gram_spectrum_is_cached(self):
+        sample = rect_grid_sample(SQUARE_REGION)
+        gram, eigvals = sample.gram_spectrum
+        assert sample.gram_spectrum[0] is gram
+        assert np.array_equal(gram, sample.directions @ sample.directions.T)
+        assert np.array_equal(eigvals, np.linalg.eigvalsh(gram))
+
+    def test_arrays_are_read_only(self):
+        sample = rect_grid_sample(SQUARE_REGION)
+        with pytest.raises(ValueError):
+            sample.directions[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sample.indices[0, 0] = 2
+        with pytest.raises(ValueError):
+            sample.gram_spectrum[0][0, 0] = 0.0
+        arbitrary = rect_arbitrary_sample(SQUARE_REGION, seed=0)
+        with pytest.raises(ValueError):
+            arbitrary.directions[:, 0] *= 2.0
 
 
 class TestCsv:
