@@ -66,7 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--region", required=True, choices=["rect", "ball"])
     p_conv.add_argument("--sides", default="1,1", help="box side lengths, comma separated")
     p_conv.add_argument("--radius", type=float, default=1.0, help="ball radius")
-    p_conv.add_argument("--x0", default=None, help="reference point, comma separated (default: field anchor)")
+    p_conv.add_argument(
+        "--x0",
+        default=None,
+        help="reference point, comma separated (default: field anchor); write --x0=-0.5,1 when it starts with '-'",
+    )
     p_conv.add_argument("--schedule", default="2^2..2^6", help="per-axis counts: '2^2..2^10' or '4,8,16'")
     p_conv.add_argument("--sample", default="grid", choices=["grid", "arbitrary"])
     p_conv.add_argument("--nodes", type=int, default=64, help="quadrature nodes per axis for the limit")

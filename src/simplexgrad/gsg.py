@@ -35,6 +35,11 @@ class EvaluationError(RuntimeError):
         super().__init__(f"field evaluation failed at column {column} (point {point}): {cause}")
 
 
+def _quiet_overflow() -> np.errstate:
+    # a field that overflows yields inf or nan, which the callers' finiteness checks report
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Evaluatable scalar function of n variables.
@@ -64,23 +69,26 @@ class ScalarField:
             points = points[None, :]
         if points.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} components")
-        try:
-            vals = np.asarray(self.fn(points), dtype=float)
-            if vals.shape != points.shape[:1]:
-                raise TypeError("non-vectorized evaluator")
-        except Exception:
-            vals = np.array([float(self.fn(p)) for p in points])
+        with _quiet_overflow():
+            try:
+                vals = np.asarray(self.fn(points), dtype=float)
+                if vals.shape != points.shape[:1]:
+                    raise TypeError("non-vectorized evaluator")
+            except Exception:
+                vals = np.array([float(self.fn(p)) for p in points])
         return vals[0] if squeeze else vals
 
     def gradient(self, x) -> np.ndarray:
         if self.grad is None:
             raise ValueError(f"field {self.name or '<anonymous>'} has no analytic gradient")
-        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float).reshape(-1)
+        with _quiet_overflow():
+            return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float).reshape(-1)
 
     def hessian(self, x) -> np.ndarray:
         if self.hess is None:
             raise ValueError(f"field {self.name or '<anonymous>'} has no analytic Hessian")
-        return np.asarray(self.hess(np.asarray(x, dtype=float)), dtype=float)
+        with _quiet_overflow():
+            return np.asarray(self.hess(np.asarray(x, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import ball_volume, dense_limit_matrix
-from .gsg import ScalarField
+from .gsg import EvaluationError, ScalarField
 from .quadrature import QuadratureSpec, ball_nodes, box_nodes
 
 __all__ = [
@@ -77,8 +77,20 @@ class LimitGradientResult:
 
 def _moments(field: ScalarField, x0, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    increments = field(x0[None, :] + points) - float(field(x0))
-    return (weights * increments) @ points
+    base = float(field(x0))
+    if not math.isfinite(base):
+        raise EvaluationError(-1, x0, f"non-finite value {base}")
+    increments = field(x0[None, :] + points) - base
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = (weights * increments) @ points
+    # the weights are positive, so a non-finite increment shows in the moments without another pass
+    if not np.isfinite(moments).all():
+        bad = ~np.isfinite(increments)
+        if not bad.any():
+            raise EvaluationError(-1, x0, f"moments overflow: {moments}")
+        j = int(np.argmax(bad))
+        raise EvaluationError(j, x0 + points[j], f"non-finite increment {increments[j]}")
+    return moments
 
 
 def box_moment_vector(field: ScalarField, x0, d, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gamma_half_integer
+from .regions import DEFAULT_COLUMN_BUDGET, _along, _check_budget, _spherical_map
 
 __all__ = [
     "QuadratureSpec",
@@ -46,21 +47,33 @@ def _gl_axis(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (q + 1.0), half * w
 
 
+def _weight_product(ws: list[np.ndarray]) -> np.ndarray:
+    """Tensor product ``w_1 * w_2 * ...`` of per-axis weights, as an n-d grid."""
+    n = len(ws)
+    weights = _along(ws[0], 0, n)
+    for k in range(1, n):
+        weights = weights * _along(ws[k], k, n)
+    return weights
+
+
 def _tensor(axes: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wts = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    points = np.stack([p.ravel() for p in pts], axis=-1)
-    weights = np.ones(points.shape[0])
-    for w in wts:
-        weights *= w.ravel()
-    return points, weights
+    n = len(axes)
+    points = np.empty(tuple(q.size for q, _ in axes) + (n,))
+    for k, (q, _) in enumerate(axes):
+        points[..., k] = _along(q, k, n)
+    return points.reshape(-1, n), _weight_product([w for _, w in axes]).reshape(-1)
 
 
 def box_nodes(d, spec: QuadratureSpec = QuadratureSpec()) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (m, n) and weights (m,) for the box ``[0, d_1] x ... x [0, d_n]``."""
+    """Nodes (m, n) and weights (m,) for the box ``[0, d_1] x ... x [0, d_n]``.
+
+    Raises ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
+    ``DEFAULT_COLUMN_BUDGET``.
+    """
     d = np.asarray(d, dtype=float).reshape(-1)
     if d.size < 1 or np.any(d <= 0):
         raise ValueError("side lengths must all be positive")
+    _check_budget(spec.nodes_per_axis**d.size, DEFAULT_COLUMN_BUDGET, "quadrature nodes")
     return _tensor([_gl_axis(0.0, di, spec.nodes_per_axis) for di in d])
 
 
@@ -70,36 +83,25 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> tup
     Built on the spherical parameter box (radius, azimuth, polar angles);
     the returned weights already include the spherical volume element, so
     ``sum(w * g(points))`` approximates the Cartesian integral of ``g``.
+    Raises ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
+    ``DEFAULT_COLUMN_BUDGET``.
     """
     if n < 2:
         raise ValueError("ball quadrature requires dimension >= 2")
     if r <= 0:
         raise ValueError("radius must be positive")
     m = spec.nodes_per_axis
+    _check_budget(m**n, DEFAULT_COLUMN_BUDGET, "quadrature nodes")
     axes = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
     axes += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
-    params, weights = _tensor(axes)
-    rho = params[:, 0]
-    theta = params[:, 1]
-    phis = params[:, 2:]
-    points = spherical_points(rho, theta, phis)
+    rho, theta, *phis = [_along(q, k, n) for k, (q, _) in enumerate(axes)]
+    points = np.empty((m,) * n + (n,))
+    _spherical_map(rho, theta, phis, np.moveaxis(points, -1, 0))
     jac = rho ** (n - 1)
-    for i in range(n - 2):
-        jac = jac * np.sin(phis[:, i]) ** (n - 2 - i)
-    return points, weights * jac
-
-
-def spherical_points(rho: np.ndarray, theta: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Vectorized spherical-to-Cartesian map; see ``regions.spherical_to_cartesian``."""
-    n = 2 + phis.shape[1]
-    out = np.empty(rho.shape + (n,), dtype=float)
-    running = np.asarray(rho, dtype=float).copy()
-    for i in range(n - 2):
-        out[..., i] = running * np.cos(phis[:, i])
-        running = running * np.sin(phis[:, i])
-    out[..., n - 2] = running * np.cos(theta)
-    out[..., n - 1] = running * np.sin(theta)
-    return out
+    for i, phi in enumerate(phis):
+        jac = jac * np.sin(phi) ** (n - 2 - i)
+    weights = _weight_product([w for _, w in axes]) * jac
+    return points.reshape(-1, n), weights.reshape(-1)
 
 
 def _evaluate(g, points: np.ndarray) -> np.ndarray:

@@ -192,24 +192,46 @@ class SampleMatrix:
         return text
 
 
-def _check_budget(n_cells: int, budget: int) -> None:
+def _check_budget(n_cells: int, budget: int, unit: str = "columns") -> None:
     if n_cells > budget:
-        raise BudgetExceededError(f"grid would need {n_cells} columns; budget is {budget}")
+        raise BudgetExceededError(f"grid would need {n_cells} {unit}; budget is {budget}")
 
 
-def _rect_multi_indices(counts: tuple[int, ...]) -> np.ndarray:
-    """All cell multi-indices (j, z_2..z_n), 1-based.
+def _along(v, axis: int, ndim: int) -> np.ndarray:
+    """View of the 1-d ``v`` laid along ``axis`` of an ``ndim``-d grid, for broadcasting."""
+    shape = [1] * ndim
+    shape[axis] = -1
+    return np.reshape(v, shape)
 
-    Cells are ordered with the trailing index z_n fastest among the block
-    indices and j (axis 1) fastest overall, matching the block layout
-    B^{1,..,1}, B^{1,..,2}, ... with N_1 columns per block.
+
+def _grid_indices(counts: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """All 1-based cell multi-indices as an N x n ``int64`` array.
+
+    ``order`` lists the axes from slowest to fastest varying down the rows.
     """
-    blocks = np.meshgrid(*[np.arange(1, c + 1) for c in counts[1:]], indexing="ij")
-    z = np.stack([b.ravel() for b in blocks], axis=-1)
-    n_blocks = z.shape[0]
-    j = np.tile(np.arange(1, counts[0] + 1), n_blocks)
-    zz = np.repeat(z, counts[0], axis=0)
-    return np.column_stack([j, zz])
+    n = len(counts)
+    shape = tuple(counts[a] for a in order)
+    idx = np.empty((math.prod(shape), n), dtype=np.int64)
+    grid = idx.reshape(shape + (n,))
+    for pos, a in enumerate(order):
+        grid[..., a] = _along(np.arange(1, counts[a] + 1), pos, n)
+    return idx
+
+
+def _spherical_map(rho, theta, phis, out: np.ndarray) -> None:
+    """Write the spherical map of (rho, theta, phis) into ``out[0..n-1]``.
+
+    ``out[k] = rho sin(phis[0])..sin(phis[k-1]) cos(phis[k])`` for the polar
+    angles, then the azimuthal cos/sin pair in the last two rows. The inputs broadcast
+    against ``out[k]``, so each cos/sin runs once per value given.
+    """
+    n = len(phis) + 2
+    running = rho
+    for k, phi in enumerate(phis):
+        out[k] = running * np.cos(phi)
+        running = running * np.sin(phi)
+    out[n - 2] = running * np.cos(theta)
+    out[n - 1] = running * np.sin(theta)
 
 
 def rect_grid_sample(region: HyperrectRegion, budget: int = DEFAULT_COLUMN_BUDGET) -> SampleMatrix:
@@ -220,9 +242,15 @@ def rect_grid_sample(region: HyperrectRegion, budget: int = DEFAULT_COLUMN_BUDGE
     matrix has full row rank for all counts >= 2.
     """
     _check_budget(region.n_cells, budget)
-    idx = _rect_multi_indices(region.counts)
-    h = np.asarray(region.sublengths)
-    directions = (idx * h).T.astype(float)
+    n = region.dim
+    # columns run with j (axis 1) fastest, then z_n, ..., z_2 slowest
+    order = tuple(range(1, n)) + (0,)
+    shape = tuple(region.counts[a] for a in order)
+    directions = np.empty((n, region.n_cells))
+    grid = directions.reshape((n,) + shape)
+    for a, (c, h) in enumerate(zip(region.counts, region.sublengths)):
+        grid[a] = _along(np.arange(1, c + 1) * h, order.index(a), n)
+    idx = _grid_indices(region.counts, order)
     return SampleMatrix(directions, "rect-grid", idx, region)
 
 
@@ -256,11 +284,6 @@ def rect_arbitrary_sample(
     return SampleMatrix(directions, "rect-arbitrary", grid.indices, region)
 
 
-def _ball_multi_indices(counts: tuple[int, ...]) -> np.ndarray:
-    grids = np.meshgrid(*[np.arange(1, c + 1) for c in counts], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 def ball_grid_sample(region: BallRegion, budget: int = DEFAULT_COLUMN_BUDGET) -> SampleMatrix:
     """Directions to the outer corner of every cell of the polar grid.
 
@@ -269,21 +292,24 @@ def ball_grid_sample(region: BallRegion, budget: int = DEFAULT_COLUMN_BUDGET) ->
     (k = 3..n) and the azimuth ``2 pi y_2 / N_2``, with the azimuthal
     components placed last. Every column norm is at most r, with equality
     exactly on the outermost shell y_1 = N_1.
+
+    For n >= 3 the grid has repeated columns: a polar index y_k = N_k puts
+    that angle at pi, and sin(pi) ~ 1e-16 collapses every later component,
+    so the columns differing only in later indices agree to ~1e-16 r (not
+    bitwise). In 3-d that gives N_1 (N_2 - 1) repeats, e.g. 27 distinct
+    columns of 36 at counts (3, 4, 3). They are kept because the paper's
+    construction has them; they count in N.
     """
     _check_budget(region.n_cells, budget)
     n = region.dim
-    counts = np.asarray(region.counts)
-    idx = _ball_multi_indices(region.counts)
-    rho = region.r * idx[:, 0] / counts[0]
-    theta = 2.0 * math.pi * idx[:, 1] / counts[1]
-    directions = np.empty((n, idx.shape[0]), dtype=float)
-    running = rho.astype(float).copy()
-    for k in range(n - 2):
-        phi = math.pi * idx[:, k + 2] / counts[k + 2]
-        directions[k] = running * np.cos(phi)
-        running = running * np.sin(phi)
-    directions[n - 2] = running * np.cos(theta)
-    directions[n - 1] = running * np.sin(theta)
+    counts = region.counts
+    y = [np.arange(1, c + 1) for c in counts]
+    rho = _along(region.r * y[0] / counts[0], 0, n)
+    theta = _along(2.0 * math.pi * y[1] / counts[1], 1, n)
+    phis = [_along(math.pi * y[k] / counts[k], k, n) for k in range(2, n)]
+    directions = np.empty((n, region.n_cells))
+    _spherical_map(rho, theta, phis, directions.reshape((n,) + counts))
+    idx = _grid_indices(counts, tuple(range(n)))
     return SampleMatrix(directions, "ball-grid", idx, region)
 
 
@@ -294,24 +320,17 @@ def spherical_to_cartesian(rho: float, angles) -> np.ndarray:
     angles (half turn each); the result has dimension ``len(angles) + 1``.
     Uses the standard map: x_1 = rho cos(phi_1), then successive
     sin-products, with the azimuthal cos/sin pair in the last two
-    coordinates. Note the grid builder orders its azimuthal components the
-    same way, so the two agree up to the ordering of the polar angles.
+    coordinates. ``ball_grid_sample`` uses the same map, so its column for
+    multi-index y is this point at ``rho = r y_1/N_1`` and angles
+    ``(2 pi y_2/N_2, pi y_3/N_3, ..., pi y_n/N_n)``.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     angles = np.asarray(angles, dtype=float).reshape(-1)
     if angles.size < 1:
         raise ValueError("at least the azimuthal angle is required")
-    theta = angles[0]
-    phis = angles[1:]
-    n = angles.size + 1
-    out = np.empty(n, dtype=float)
-    running = float(rho)
-    for i, phi in enumerate(phis):
-        out[i] = running * math.cos(phi)
-        running *= math.sin(phi)
-    out[n - 2] = running * math.cos(theta)
-    out[n - 1] = running * math.sin(theta)
+    out = np.empty(angles.size + 1)
+    _spherical_map(float(rho), angles[0], angles[1:], out)
     return out
 
 

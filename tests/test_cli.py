@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -147,3 +148,29 @@ class TestCli:
             "error: field evaluation failed at column -1 (point [1.e+300 1.e+300]): non-finite value inf"
         ]
         assert "Traceback" not in err
+
+    def test_negative_x0_needs_the_equals_form(self, capsys):
+        code = main(["convergence", "--field", "quad2", "--region", "rect", "--x0=-0.5,0.25",
+                     "--schedule", "4", "--nodes", "8"])
+        assert code == 0
+        assert "x0,-0.5;0.25" in capsys.readouterr().out
+        # argparse reads a separate '-0.5,0.25' as an option, so this form is a usage error
+        assert main(["convergence", "--field", "quad2", "--region", "rect", "--x0", "-0.5,0.25",
+                     "--schedule", "4", "--nodes", "8"]) == 2
+
+    def test_overflowing_point_prints_one_line_and_no_warning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["convergence", "--field", "cubic2", "--region", "rect", "--x0", "1e300,1e300",
+                         "--schedule", "4", "--nodes", "8"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_quadrature_over_node_budget_is_usage_error(self, capsys):
+        # 3163^2 = 10,004,569 nodes, just over the 10M budget
+        code = main(["convergence", "--field", "cubic2", "--region", "ball", "--schedule", "4", "--nodes", "3163"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "budget" in err

@@ -1,0 +1,146 @@
+"""The per-axis grid builders against the meshgrid construction they replaced.
+
+The reference functions below materialize every node or column with
+``meshgrid``/``stack``/``tile``/``repeat`` and evaluate cos/sin on every
+point. The builders broadcast per-axis vectors instead, with the same
+arithmetic in the same order, so the results must be bitwise equal.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from simplexgrad.quadrature import QuadratureSpec, _gl_axis, ball_nodes, box_nodes
+from simplexgrad.regions import (
+    BallRegion,
+    BudgetExceededError,
+    HyperrectRegion,
+    ball_grid_sample,
+    rect_grid_sample,
+    spherical_to_cartesian,
+)
+
+
+def reference_tensor(axes):
+    pts = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    wts = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    points = np.stack([p.ravel() for p in pts], axis=-1)
+    weights = np.ones(points.shape[0])
+    for w in wts:
+        weights *= w.ravel()
+    return points, weights
+
+
+def reference_spherical_points(rho, theta, phis):
+    n = 2 + phis.shape[1]
+    out = np.empty(rho.shape + (n,), dtype=float)
+    running = np.asarray(rho, dtype=float).copy()
+    for i in range(n - 2):
+        out[..., i] = running * np.cos(phis[:, i])
+        running = running * np.sin(phis[:, i])
+    out[..., n - 2] = running * np.cos(theta)
+    out[..., n - 1] = running * np.sin(theta)
+    return out
+
+
+def reference_box_nodes(d, m):
+    return reference_tensor([_gl_axis(0.0, di, m) for di in d])
+
+
+def reference_ball_nodes(n, r, m):
+    axes = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
+    axes += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
+    params, weights = reference_tensor(axes)
+    rho, theta, phis = params[:, 0], params[:, 1], params[:, 2:]
+    points = reference_spherical_points(rho, theta, phis)
+    jac = rho ** (n - 1)
+    for i in range(n - 2):
+        jac = jac * np.sin(phis[:, i]) ** (n - 2 - i)
+    return points, weights * jac
+
+
+def reference_rect_grid(region):
+    counts = region.counts
+    blocks = np.meshgrid(*[np.arange(1, c + 1) for c in counts[1:]], indexing="ij")
+    z = np.stack([b.ravel() for b in blocks], axis=-1)
+    j = np.tile(np.arange(1, counts[0] + 1), z.shape[0])
+    idx = np.column_stack([j, np.repeat(z, counts[0], axis=0)])
+    return (idx * np.asarray(region.sublengths)).T.astype(float), idx
+
+
+def reference_ball_grid(region):
+    n = region.dim
+    counts = np.asarray(region.counts)
+    grids = np.meshgrid(*[np.arange(1, c + 1) for c in region.counts], indexing="ij")
+    idx = np.stack([g.ravel() for g in grids], axis=-1)
+    rho = region.r * idx[:, 0] / counts[0]
+    theta = 2.0 * math.pi * idx[:, 1] / counts[1]
+    directions = np.empty((n, idx.shape[0]))
+    running = rho.astype(float).copy()
+    for k in range(n - 2):
+        phi = math.pi * idx[:, k + 2] / counts[k + 2]
+        directions[k] = running * np.cos(phi)
+        running = running * np.sin(phi)
+    directions[n - 2] = running * np.cos(theta)
+    directions[n - 1] = running * np.sin(theta)
+    return directions, idx
+
+
+COUNTS = [(4, 5), (3, 3), (7, 3, 4), (4, 5, 6, 3), (3, 4, 3, 5, 3)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_quadrature_nodes_match_reference_bitwise(n, m):
+    d = np.linspace(0.5, 2.0, n)
+    for got, want in zip(box_nodes(d, QuadratureSpec(m)), reference_box_nodes(d, m)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    for got, want in zip(ball_nodes(n, 1.3, QuadratureSpec(m)), reference_ball_nodes(n, 1.3, m)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("counts", COUNTS)
+def test_rect_grid_matches_reference_bitwise(counts):
+    n = len(counts)
+    region = HyperrectRegion((0.25,) * n, tuple(np.linspace(0.7, 1.9, n)), counts)
+    sample = rect_grid_sample(region)
+    directions, idx = reference_rect_grid(region)
+    assert np.array_equal(sample.directions, directions)
+    assert np.array_equal(sample.indices, idx) and sample.indices.dtype == idx.dtype
+
+
+@pytest.mark.parametrize("counts", COUNTS)
+def test_ball_grid_matches_reference_bitwise(counts):
+    n = len(counts)
+    region = BallRegion((0.25,) * n, 1.7, counts)
+    sample = ball_grid_sample(region)
+    directions, idx = reference_ball_grid(region)
+    assert np.array_equal(sample.directions, directions)
+    assert np.array_equal(sample.indices, idx) and sample.indices.dtype == idx.dtype
+
+
+@pytest.mark.parametrize("counts", COUNTS)
+def test_spherical_to_cartesian_matches_ball_grid_columns(counts):
+    region = BallRegion((0.0,) * len(counts), 1.7, counts)
+    sample = ball_grid_sample(region)
+    for col, y in zip(sample.directions.T, sample.indices):
+        rho = region.r * y[0] / counts[0]
+        angles = [2.0 * math.pi * y[1] / counts[1]] + [math.pi * y[k] / counts[k] for k in range(2, len(counts))]
+        assert np.max(np.abs(spherical_to_cartesian(rho, angles) - col)) <= 1e-15 * region.r
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spec: box_nodes((1.0, 1.0), spec),
+        lambda spec: ball_nodes(2, 1.0, spec),
+    ],
+    ids=["box", "ball"],
+)
+def test_node_budget(build):
+    # 3163^2 = 10,004,569 nodes, just over DEFAULT_COLUMN_BUDGET; raised before any node is built
+    with pytest.raises(BudgetExceededError, match="quadrature nodes"):
+        build(QuadratureSpec(3163))

@@ -8,7 +8,7 @@ import pytest
 
 from simplexgrad.closed_forms import dense_limit_matrix
 from simplexgrad.fields import get_field
-from simplexgrad.gsg import ScalarField, function_increments, simplex_gradient
+from simplexgrad.gsg import EvaluationError, ScalarField, function_increments, simplex_gradient
 from simplexgrad.limits import (
     CapabilityError,
     ball_moment_vector,
@@ -188,3 +188,16 @@ def test_result_serialization():
     assert payload["region"] == "box"
     assert payload["nodes"] == 64
     assert len(payload["estimate"]) == 2
+
+
+@pytest.mark.parametrize("limit", [limit_gradient_box, limit_gradient_ball])
+def test_non_finite_increment_raises_instead_of_nan(limit):
+    field = ScalarField(dim=2, fn=lambda x: np.where(x[:, 0] > 0.5, np.inf, 0.0))
+    arg = (1.0, 1.0) if limit is limit_gradient_box else 1.0
+    with pytest.raises(EvaluationError, match="non-finite increment inf"):
+        limit(field, (0.0, 0.0), arg, QuadratureSpec(8))
+
+
+def test_overflowing_moments_raise_instead_of_nan():
+    with pytest.raises(EvaluationError, match="moments overflow"):
+        limit_gradient_box(get_field("affine2").field, (0.0, 0.0), (1e100, 1e100), QuadratureSpec(8))
