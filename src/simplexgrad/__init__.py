@@ -23,7 +23,6 @@ from .closed_forms import (
     dense_limit_matrix,
     grid_gram,
     grid_gram_inverse,
-    normalized_limit_norm,
 )
 from .experiments import ExperimentConfig, ConvergenceResult, ReproduceReport, convergence, reproduce
 from .fields import FieldEntry, check_gradient_consistency, field_ids, get_field, make_affine
@@ -37,13 +36,7 @@ from .limits import (
     limit_gradient_box,
     taylor_diagnostics,
 )
-from .linalg import (
-    SingularUpdateError,
-    gamma_half_integer,
-    pseudoinverse,
-    rank_one_update_inverse,
-    spectral_norm,
-)
+from .linalg import gamma_half_integer, pseudoinverse, spectral_norm
 from .quadrature import (
     QuadratureSpec,
     abs_monomial_ball_integral,
@@ -87,7 +80,6 @@ __all__ = [
     "ReproduceReport",
     "SampleMatrix",
     "ScalarField",
-    "SingularUpdateError",
     "abs_monomial_ball_integral",
     "ball_gamma_ratio",
     "ball_grid_sample",
@@ -117,9 +109,7 @@ __all__ = [
     "limit_gradient_box",
     "make_affine",
     "monomial_ball_integral",
-    "normalized_limit_norm",
     "pseudoinverse",
-    "rank_one_update_inverse",
     "rect_arbitrary_sample",
     "rect_grid_sample",
     "reproduce",

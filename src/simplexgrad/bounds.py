@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import ball_gamma_ratio
-from .regions import SampleMatrix, _gram_spectrum, sample_radius
+from .regions import _directions, _gram_spectrum, sample_radius
 
 __all__ = [
     "RankDeficiencyError",
@@ -51,15 +51,6 @@ class BoundReport:
         return f"{self.kind},{repr(float(self.value))},{self.region}"
 
 
-def _directions(sample) -> np.ndarray:
-    if isinstance(sample, SampleMatrix):
-        return sample.directions
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("sample must be a SampleMatrix or an n x N array")
-    return arr
-
-
 # The Gram route is taken only while cond(S) <= 1e3, where sqrt(lambda_min) has a
 # relative error of about cond(S)^2 eps <= 1e-10 (Higham, ch. 20). Worse-conditioned
 # samples, rank-deficient ones included, take the SVD of S / delta.
@@ -72,12 +63,11 @@ def _min_max_singular(sample, delta: float) -> tuple[float, float]:
     Read from the Gram spectrum (the sample's shared one for a
     ``SampleMatrix``) when S is well conditioned, else from an SVD.
     """
-    s = _directions(sample)
-    _, eigvals = sample.gram_spectrum if isinstance(sample, SampleMatrix) else _gram_spectrum(s)
+    _, eigvals = _gram_spectrum(sample)
     lo, hi = float(eigvals[0]), float(eigvals[-1])
     if hi > 0 and lo >= _GRAM_ROUTE_MIN_RATIO * hi:
         return math.sqrt(lo) / delta, math.sqrt(hi) / delta
-    sv = np.linalg.svd(s / delta, compute_uv=False)
+    sv = np.linalg.svd(_directions(sample) / delta, compute_uv=False)
     return float(sv[-1]), float(sv[0])
 
 

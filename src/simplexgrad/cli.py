@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convergence", help="run a sample-density schedule")
     p_conv.add_argument("--field", required=True, choices=field_ids())
     p_conv.add_argument("--region", required=True, choices=["rect", "ball"])
-    p_conv.add_argument("--sides", default="1,1", help="box side lengths, comma separated")
+    p_conv.add_argument("--sides", default=None, help="box side lengths, comma separated (default: the unit box)")
     p_conv.add_argument("--radius", type=float, default=1.0, help="ball radius")
     p_conv.add_argument(
         "--x0",
@@ -105,7 +105,7 @@ def _cmd_convergence(args) -> int:
         region=args.region,
         schedule=schedule,
         x0=x0,
-        sides=tuple(float(t) for t in args.sides.split(",")),
+        sides=(1.0,) * dim if args.sides is None else tuple(float(t) for t in args.sides.split(",")),
         radius=args.radius,
         sample=args.sample,
         nodes=args.nodes,

@@ -1,8 +1,9 @@
 """Closed forms attached to the rectangular grid and the ball.
 
 Everything here is an explicit formula: the Gram matrix of the
-rightmost-endpoint grid, its inverse (via a rank-one update of a diagonal
-matrix), the dense-sampling limit of the scaled inverse Gram, ball volumes,
+rightmost-endpoint grid, its inverse (a diagonal matrix minus a rank-one
+term), the dense-sampling limit of the scaled inverse Gram (its
+side-length-free factor has spectral norm 12 for every n), ball volumes,
 the second-moment matrix of a ball, and the gamma-ratio constant used by
 the ball error bound.
 """
@@ -22,7 +23,6 @@ __all__ = [
     "grid_gram",
     "grid_gram_inverse",
     "dense_limit_matrix",
-    "normalized_limit_norm",
     "ball_volume",
     "ball_gamma_ratio",
     "ball_second_moment",
@@ -114,17 +114,6 @@ def dense_limit_matrix(d) -> DenseLimitMatrix:
     inv_d = 1.0 / d
     matrix = normalized * np.outer(inv_d, inv_d)
     return DenseLimitMatrix(tuple(map(float, d)), matrix, normalized)
-
-
-def normalized_limit_norm(n: int) -> float:
-    """Spectral norm of the normalized dense-limit matrix: 12 for every n >= 2.
-
-    The value is analytic; tests cross-check it against an eigenvalue
-    computation.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return 12.0
 
 
 def ball_volume(dim: int, r: float = 1.0) -> float:

@@ -207,7 +207,11 @@ class ExperimentConfig:
             raise ValueError("side lengths must be finite")
         if not math.isfinite(self.radius):
             raise ValueError("radius must be finite")
-        get_field(self.field_id)  # raises for unknown ids
+        if self.x0 is not None and not all(math.isfinite(v) for v in self.x0):
+            raise ValueError("x0 must be finite")
+        dim = get_field(self.field_id).field.dim  # raises for unknown ids
+        if self.region == "rect" and len(self.sides) != dim:
+            raise ValueError(f"sides must have {dim} entries for field {self.field_id}, got {len(self.sides)}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import pseudoinverse
-from .regions import SampleMatrix, _gram_spectrum, sample_radius
+from .regions import _directions, _gram_spectrum, sample_radius
 
 __all__ = [
     "EvaluationError",
@@ -46,7 +46,8 @@ class ScalarField:
 
     ``fn`` is evaluated on arrays of shape (m, n) and should return shape
     (m,); plain scalar-valued callables are also accepted and looped over.
-    ``grad`` and ``hess`` (if given) are evaluated at single points.
+    A ``MemoryError`` from the array call propagates instead of starting
+    that loop. ``grad`` and ``hess`` (if given) are evaluated at single points.
     ``grad_lipschitz``/``hess_lipschitz``, when present, are constants
     valid on the ball of radius ``lipschitz_radius`` about
     ``lipschitz_center``.
@@ -74,6 +75,8 @@ class ScalarField:
                 vals = np.asarray(self.fn(points), dtype=float)
                 if vals.shape != points.shape[:1]:
                     raise TypeError("non-vectorized evaluator")
+            except MemoryError:
+                raise
             except Exception:
                 vals = np.array([float(self.fn(p)) for p in points])
         return vals[0] if squeeze else vals
@@ -121,13 +124,43 @@ class GradientEstimate:
         return f"{x0},{self.n_samples},{repr(float(self.radius))},{est},{err},{attached}"
 
 
-def _directions(sample) -> np.ndarray:
-    if isinstance(sample, SampleMatrix):
-        return sample.directions
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("sample must be a SampleMatrix or an n x N array")
-    return arr
+def _increments(field: ScalarField, x0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Increments ``f(x0 + offsets[j]) - f(x0)``, one per row of the (m, n) ``offsets``.
+
+    Raises ``EvaluationError`` at the first row whose evaluation fails or
+    whose increment is not finite (row -1 is x0 itself). ``MemoryError``
+    propagates unchanged.
+    """
+    if x0.shape != (field.dim,) or offsets.shape[1:] != (field.dim,):
+        raise ValueError(f"points must have {field.dim} components")
+    try:
+        base = float(field(x0))
+        values = field(x0 + offsets)
+    except MemoryError:
+        raise
+    except Exception:
+        # re-evaluate one point at a time to name the first that fails
+        for j in range(-1, len(offsets)):
+            point = x0 if j < 0 else x0 + offsets[j]
+            try:
+                field(point)
+            except MemoryError:
+                raise
+            except Exception as exc:
+                raise EvaluationError(j, point, str(exc)) from exc
+        raise
+    if not math.isfinite(base):
+        raise EvaluationError(-1, x0, f"non-finite value {base}")
+    with _quiet_overflow():
+        increments = values - base
+        # one reduction on the success path; the scan runs only when it is not finite
+        total_finite = np.isfinite(np.sum(increments))
+    if not total_finite:
+        bad = np.flatnonzero(~np.isfinite(increments))
+        if bad.size:
+            j = int(bad[0])
+            raise EvaluationError(j, x0 + offsets[j], f"non-finite increment {increments[j]}")
+    return increments
 
 
 def function_increments(field: ScalarField, x0, sample) -> np.ndarray:
@@ -140,26 +173,7 @@ def function_increments(field: ScalarField, x0, sample) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != s.shape[0]:
         raise ValueError("x0 dimension does not match the sample matrix")
-    points = x0[None, :] + s.T
-    try:
-        values = field(points)
-    except Exception as exc:  # pinpoint the failing column for the caller
-        for j, p in enumerate(points):
-            try:
-                v = float(field(p))
-            except Exception as inner:
-                raise EvaluationError(j, p, str(inner)) from inner
-            if not np.isfinite(v):
-                raise EvaluationError(j, p, f"non-finite value {v}") from exc
-        raise
-    base = float(field(x0))
-    if not np.isfinite(base):
-        raise EvaluationError(-1, x0, f"non-finite value {base}")
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        j = int(np.flatnonzero(bad)[0])
-        raise EvaluationError(j, points[j], f"non-finite value {values[j]}")
-    return values - base
+    return _increments(field, x0, s.T)
 
 
 def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
@@ -174,7 +188,7 @@ def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     df = function_increments(field, x0, sample)
     n, cols = s.shape
-    gram, eigvals = sample.gram_spectrum if isinstance(sample, SampleMatrix) else _gram_spectrum(s)
+    gram, eigvals = _gram_spectrum(sample)
     cond = math.sqrt(eigvals[-1] / eigvals[0]) if eigvals[0] > 0 else math.inf
     estimate = None
     if cols >= n:

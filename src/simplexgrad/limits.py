@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import ball_volume, dense_limit_matrix
-from .gsg import EvaluationError, ScalarField
+from .gsg import EvaluationError, ScalarField, _increments
 from .quadrature import QuadratureSpec, ball_nodes, box_nodes
 
 __all__ = [
@@ -77,19 +77,11 @@ class LimitGradientResult:
 
 def _moments(field: ScalarField, x0, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    base = float(field(x0))
-    if not math.isfinite(base):
-        raise EvaluationError(-1, x0, f"non-finite value {base}")
-    increments = field(x0[None, :] + points) - base
+    increments = _increments(field, x0, points)
     with np.errstate(over="ignore", invalid="ignore"):
         moments = (weights * increments) @ points
-    # the weights are positive, so a non-finite increment shows in the moments without another pass
     if not np.isfinite(moments).all():
-        bad = ~np.isfinite(increments)
-        if not bad.any():
-            raise EvaluationError(-1, x0, f"moments overflow: {moments}")
-        j = int(np.argmax(bad))
-        raise EvaluationError(j, x0 + points[j], f"non-finite increment {increments[j]}")
+        raise EvaluationError(-1, x0, f"moments overflow: {moments}")
     return moments
 
 
@@ -170,8 +162,7 @@ def taylor_diagnostics(
         points, weights = box_nodes(np.asarray(d, dtype=float), spec)
         linear = points @ g
         v = (weights * linear) @ points
-        increments = field(x0[None, :] + points) - float(field(x0))
-        w = (weights * (increments - linear)) @ points
+        w = (weights * (_increments(field, x0, points) - linear)) @ points
         return {"v": v, "w": w}
     if field.hess is None:
         raise CapabilityError("the ball split requires an analytic Hessian")
@@ -181,6 +172,4 @@ def taylor_diagnostics(
     h = field.hessian(x0)
     curvature = 0.5 * np.einsum("mi,ij,mj->m", points, h, points)
     w = (weights * curvature) @ points
-    increments = field(x0[None, :] + points) - float(field(x0))
-    t = (weights * increments) @ points
-    return {"v": v, "w": w, "z": t - v - w}
+    return {"v": v, "w": w, "z": _moments(field, x0, points, weights) - v - w}

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernel.
 
 Small, deterministic wrappers used by every other module: Moore-Penrose
-pseudoinverse with an explicit rank cutoff, spectral norm, a rank-one
-inverse update, and exact gamma values at half-integer arguments.
+pseudoinverse with an explicit rank cutoff, spectral norm, and exact gamma
+values at half-integer arguments.
 """
 
 from __future__ import annotations
@@ -12,16 +12,10 @@ import math
 import numpy as np
 
 __all__ = [
-    "SingularUpdateError",
     "pseudoinverse",
     "spectral_norm",
-    "rank_one_update_inverse",
     "gamma_half_integer",
 ]
-
-
-class SingularUpdateError(ValueError):
-    """Rank-one update would make the matrix singular."""
 
 
 def _as_finite_2d(a, name: str) -> np.ndarray:
@@ -55,30 +49,6 @@ def spectral_norm(a) -> float:
     """Largest singular value of ``a``."""
     arr = _as_finite_2d(a, "a")
     return float(np.linalg.norm(arr, ord=2))
-
-
-def rank_one_update_inverse(d_inv, u, v, tol: float = 1e-12) -> np.ndarray:
-    """Inverse of ``D + u v^T`` given ``D^{-1}``.
-
-    Uses the rank-one (Sherman-Morrison) form
-    ``(D + u v^T)^{-1} = D^{-1} - D^{-1} u v^T D^{-1} / (1 + v^T D^{-1} u)``.
-
-    Raises
-    ------
-    SingularUpdateError
-        If ``|1 + v^T D^{-1} u|`` falls below ``tol``.
-    """
-    d_inv = _as_finite_2d(d_inv, "d_inv")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError("u and v must be finite")
-    du = d_inv @ u
-    vd = v @ d_inv
-    denom = 1.0 + float(v @ du)
-    if abs(denom) < tol:
-        raise SingularUpdateError(f"update denominator {denom:.3e} below tolerance {tol:.1e}")
-    return d_inv - np.outer(du, vd) / denom
 
 
 def gamma_half_integer(two_k: int) -> float:

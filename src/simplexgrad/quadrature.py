@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gsg import ScalarField
 from .linalg import gamma_half_integer
 from .regions import DEFAULT_COLUMN_BUDGET, _along, _check_budget, _spherical_map
 
@@ -105,13 +106,7 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> tup
 
 
 def _evaluate(g, points: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(g(points), dtype=float)
-        if vals.shape != points.shape[:1]:
-            raise TypeError("non-vectorized integrand")
-    except Exception:
-        # scalar-only callable: evaluate point by point
-        vals = np.array([float(g(p)) for p in points])
+    vals = ScalarField(points.shape[1], g)(points)
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise ValueError(f"integrand returned a non-finite value at node {bad}: {points[bad]}")

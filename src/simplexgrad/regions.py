@@ -360,8 +360,22 @@ def _radius(directions: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.einsum("ij,ij->j", directions, directions))))
 
 
-def _gram_spectrum(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gram = directions @ directions.T
+def _directions(sample) -> np.ndarray:
+    """The n x N direction array of a ``SampleMatrix`` or of a plain array."""
+    if isinstance(sample, SampleMatrix):
+        return sample.directions
+    arr = np.asarray(sample, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError("sample must be a SampleMatrix or an n x N array")
+    return arr
+
+
+def _gram_spectrum(sample) -> tuple[np.ndarray, np.ndarray]:
+    """``S S^T`` and its ascending eigenvalues; the cached pair for a ``SampleMatrix``."""
+    if isinstance(sample, SampleMatrix):
+        return sample.gram_spectrum
+    s = _directions(sample)
+    gram = s @ s.T
     return gram, np.linalg.eigvalsh(gram)
 
 

@@ -130,13 +130,28 @@ class TestCli:
         assert all(row[6] == "" for row in rows)  # no mirrored structure in 3-d: centered_bound blank
 
     @pytest.mark.parametrize(
-        "args", [["--region", "rect", "--sides", "1,inf"], ["--region", "ball", "--radius", "nan"]]
+        "args",
+        [
+            ["--region", "rect", "--sides", "1,inf"],
+            ["--region", "ball", "--radius", "nan"],
+            ["--region", "rect", "--x0=nan,1"],
+        ],
     )
     def test_non_finite_region_is_usage_error(self, args, capsys):
         code = main(["convergence", "--field", "cubic2", *args, "--schedule", "4", "--nodes", "8"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+
+    def test_rect_sides_follow_the_field_dimension(self, capsys):
+        code = main(["convergence", "--field", "affine3", "--region", "rect", "--schedule", "4", "--nodes", "8"])
+        assert code == 0
+        assert "sides,1.0;1.0;1.0" in capsys.readouterr().out
+        code = main(["convergence", "--field", "affine3", "--region", "rect", "--sides", "1,1",
+                     "--schedule", "4", "--nodes", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: sides must have 3 entries for field affine3, got 2\n"
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_evaluation_failure_is_one_line_error(self, capsys):

@@ -13,7 +13,6 @@ from simplexgrad.closed_forms import (
     dense_limit_matrix,
     grid_gram,
     grid_gram_inverse,
-    normalized_limit_norm,
 )
 from simplexgrad.linalg import spectral_norm
 from simplexgrad.quadrature import integrate_ball, monomial_ball_integral
@@ -107,7 +106,6 @@ class TestNormalizedLimitNorm:
     def test_analytic_value_matches_spectral_norm(self):
         for n in range(2, 11):
             lim = dense_limit_matrix((1.0,) * n)
-            assert normalized_limit_norm(n) == 12.0
             assert spectral_norm(lim.normalized) == pytest.approx(12.0, abs=1e-10)
 
     def test_gram_eigenvalue_spectrum(self):

@@ -14,7 +14,7 @@ from simplexgrad.gsg import (
 )
 from simplexgrad.limits import limit_gradient_box
 from simplexgrad.linalg import pseudoinverse
-from simplexgrad.quadrature import QuadratureSpec
+from simplexgrad.quadrature import QuadratureSpec, integrate_box
 from simplexgrad.regions import HyperrectRegion, ball_grid_sample, BallRegion, rect_grid_sample
 
 RNG = np.random.default_rng(314)
@@ -65,6 +65,27 @@ class TestFunctionIncrements:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             function_increments(QUAD2, (0.0, 0.0, 0.0), SQUARE_SAMPLE)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda field: function_increments(field, (0.0, 0.0), SQUARE_SAMPLE),
+        lambda field: limit_gradient_box(field, (0.0, 0.0), (1.0, 1.0), QuadratureSpec(4)),
+        lambda field: integrate_box(field.fn, (1.0, 1.0), QuadratureSpec(4)),
+    ],
+    ids=["function_increments", "limit_gradient_box", "integrate_box"],
+)
+def test_memory_error_propagates_after_one_call(evaluate):
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        raise MemoryError
+
+    with pytest.raises(MemoryError):
+        evaluate(ScalarField(dim=2, fn=fn))
+    assert len(calls) == 1
 
 
 class TestSimplexGradient:

@@ -17,7 +17,7 @@ from simplexgrad.limits import (
     limit_gradient_box,
     taylor_diagnostics,
 )
-from simplexgrad.quadrature import QuadratureSpec, monomial_ball_integral
+from simplexgrad.quadrature import QuadratureSpec, box_nodes, monomial_ball_integral
 from simplexgrad.regions import (
     BallRegion,
     HyperrectRegion,
@@ -179,6 +179,17 @@ class TestTaylorDiagnostics:
         with pytest.raises(ValueError):
             taylor_diagnostics(QUAD2, (0.0, 0.0), d=(1.0, 1.0), r=1.0)
 
+    @pytest.mark.parametrize("region", [{"d": (1.0, 1.0)}, {"r": 1.0}], ids=["box", "ball"])
+    def test_non_finite_increment_raises(self, region):
+        field = ScalarField(
+            dim=2,
+            fn=lambda x: np.where(x[:, 0] > 0.5, np.inf, 0.0),
+            grad=lambda x: np.zeros(2),
+            hess=lambda x: np.zeros((2, 2)),
+        )
+        with pytest.raises(EvaluationError, match="non-finite increment inf"):
+            taylor_diagnostics(field, (0.0, 0.0), spec=QuadratureSpec(8), **region)
+
 
 def test_result_serialization():
     res = limit_gradient_box(QUAD2, (3.0, 1.0), (1.0, 1.0), SPEC64)
@@ -196,6 +207,19 @@ def test_non_finite_increment_raises_instead_of_nan(limit):
     arg = (1.0, 1.0) if limit is limit_gradient_box else 1.0
     with pytest.raises(EvaluationError, match="non-finite increment inf"):
         limit(field, (0.0, 0.0), arg, QuadratureSpec(8))
+
+
+def test_raising_vectorized_field_names_first_failing_node():
+    def fn(x):
+        if np.any(x[:, 0] > 0.5):
+            raise ValueError("outside the domain")
+        return x[:, 0]
+
+    spec = QuadratureSpec(8)
+    points, _ = box_nodes((1.0, 1.0), spec)
+    first = int(np.argmax(points[:, 0] > 0.5))
+    with pytest.raises(EvaluationError, match=rf"column {first} "):
+        limit_gradient_box(ScalarField(dim=2, fn=fn), (0.0, 0.0), (1.0, 1.0), spec)
 
 
 def test_overflowing_moments_raise_instead_of_nan():

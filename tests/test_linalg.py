@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
-from simplexgrad.linalg import (
-    SingularUpdateError,
-    gamma_half_integer,
-    pseudoinverse,
-    rank_one_update_inverse,
-    spectral_norm,
-)
+from simplexgrad.linalg import gamma_half_integer, pseudoinverse, spectral_norm
 
 RNG = np.random.default_rng(20240811)
 
@@ -86,33 +80,6 @@ class TestSpectralNorm:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             spectral_norm(np.array([[np.inf]]))
-
-
-class TestRankOneUpdateInverse:
-    def test_zero_update(self):
-        out = rank_one_update_inverse(np.eye(2), np.zeros(2), np.zeros(2))
-        assert np.allclose(out, np.eye(2), atol=1e-14)
-
-    def test_unit_vector_update(self):
-        e1 = np.array([1.0, 0.0])
-        out = rank_one_update_inverse(np.eye(2), e1, e1)
-        assert np.allclose(out, np.diag([0.5, 1.0]), atol=1e-14)
-
-    def test_matches_direct_inverse(self):
-        for _ in range(40):
-            n = int(RNG.integers(2, 7))
-            base = RNG.normal(size=(n, n))
-            d = base @ base.T + n * np.eye(n)
-            u = RNG.normal(size=n)
-            v = RNG.normal(size=n)
-            expected = np.linalg.inv(d + np.outer(u, v))
-            got = rank_one_update_inverse(np.linalg.inv(d), u, v)
-            assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-9
-
-    def test_singular_update_raises(self):
-        e1 = np.array([1.0, 0.0])
-        with pytest.raises(SingularUpdateError):
-            rank_one_update_inverse(np.eye(2), e1, -e1)
 
 
 class TestGammaHalfInteger:
