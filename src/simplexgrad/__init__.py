@@ -18,7 +18,6 @@ from .closed_forms import (
     DenseLimitMatrix,
     GridGram,
     ball_gamma_ratio,
-    ball_second_moment,
     ball_volume,
     dense_limit_matrix,
     grid_gram,
@@ -56,7 +55,6 @@ from .regions import (
     rect_arbitrary_sample,
     rect_grid_sample,
     sample_radius,
-    spherical_to_cartesian,
 )
 
 __version__ = "0.1.0"
@@ -85,7 +83,6 @@ __all__ = [
     "ball_grid_sample",
     "ball_moment_vector",
     "ball_nodes",
-    "ball_second_moment",
     "ball_volume",
     "box_moment_vector",
     "box_nodes",
@@ -116,6 +113,5 @@ __all__ = [
     "sample_radius",
     "simplex_gradient",
     "spectral_norm",
-    "spherical_to_cartesian",
     "taylor_diagnostics",
 ]

@@ -43,12 +43,6 @@ class BoundReport:
     value: float
     kind: str  # classical | classical-centered | limit-box | limit-hypercube | limit-ball
     constants: dict = field(default_factory=dict)
-    region: str = ""
-
-    CSV_HEADER = "kind,value,region"
-
-    def to_csv_row(self) -> str:
-        return f"{self.kind},{repr(float(self.value))},{self.region}"
 
 
 # The Gram route is taken only while cond(S) <= 1e3, where sqrt(lambda_min) has a
@@ -142,8 +136,8 @@ def limit_bound_box(d, grad_lipschitz: float) -> BoundReport:
     # hypercube detection is exact equality by design: no tolerance
     if np.all(d == d[0]):
         value = 0.5 * (2 * n + 1) * grad_lipschitz * radius
-        return BoundReport(value=value, kind="limit-hypercube", constants=constants, region=f"box{tuple(d)}")
-    return BoundReport(value=general, kind="limit-box", constants=constants, region=f"box{tuple(d)}")
+        return BoundReport(value=value, kind="limit-hypercube", constants=constants)
+    return BoundReport(value=general, kind="limit-box", constants=constants)
 
 
 def limit_bound_ball(n: int, r: float, hess_lipschitz: float) -> BoundReport:
@@ -165,5 +159,4 @@ def limit_bound_ball(n: int, r: float, hess_lipschitz: float) -> BoundReport:
         value=value,
         kind="limit-ball",
         constants={"L_hess": hess_lipschitz, "radius": r, "eta": eta},
-        region=f"ball(r={r})",
     )

@@ -97,15 +97,14 @@ def _cmd_reproduce(args) -> int:
 def _cmd_convergence(args) -> int:
     x0 = None if args.x0 is None else tuple(float(t) for t in args.x0.split(","))
     per_axis = _parse_schedule(args.schedule)
-    entry = get_field(args.field)
-    dim = entry.field.dim
+    dim = get_field(args.field).field.dim
     schedule = tuple((c,) * dim for c in per_axis)
     config = ExperimentConfig(
         field_id=args.field,
         region=args.region,
         schedule=schedule,
         x0=x0,
-        sides=(1.0,) * dim if args.sides is None else tuple(float(t) for t in args.sides.split(",")),
+        sides=None if args.sides is None else tuple(float(t) for t in args.sides.split(",")),
         radius=args.radius,
         sample=args.sample,
         nodes=args.nodes,

@@ -4,8 +4,7 @@ Everything here is an explicit formula: the Gram matrix of the
 rightmost-endpoint grid, its inverse (a diagonal matrix minus a rank-one
 term), the dense-sampling limit of the scaled inverse Gram (its
 side-length-free factor has spectral norm 12 for every n), ball volumes,
-the second-moment matrix of a ball, and the gamma-ratio constant used by
-the ball error bound.
+and the gamma-ratio constant used by the ball error bound.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "dense_limit_matrix",
     "ball_volume",
     "ball_gamma_ratio",
-    "ball_second_moment",
 ]
 
 
@@ -131,13 +129,3 @@ def ball_gamma_ratio(n: int) -> float:
         raise ValueError("n must be >= 1")
     return gamma_half_integer(n + 4) / (math.sqrt(math.pi) * gamma_half_integer(n + 3))
 
-
-def ball_second_moment(n: int, r: float = 1.0) -> np.ndarray:
-    """Matrix of integrals of ``x_i x_j`` over the ball of radius ``r``.
-
-    Diagonal with every entry ``V_{n+2}(r) / (2 pi)``; off-diagonals vanish
-    by symmetry.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return ball_volume(n + 2, r) / (2.0 * math.pi) * np.eye(n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .bounds import centered_bound, classical_bound, limit_bound_ball, limit_bound_box
-from .fields import FieldEntry, get_field
+from .fields import get_field
 from .gsg import simplex_gradient
 from .limits import limit_gradient_ball, limit_gradient_box
 from .quadrature import QuadratureSpec
@@ -181,13 +181,18 @@ def reproduce(example_id: str) -> ReproduceReport:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One convergence run: a field, a region, and a schedule of densities."""
+    """One convergence run: a field, a region, and a schedule of densities.
+
+    ``x0=None`` means the field's anchor and ``sides=None`` the unit box in
+    the field's dimension; both are resolved, as tuples of floats, on
+    construction.
+    """
 
     field_id: str
     region: str  # "rect" | "ball"
     schedule: tuple[tuple[int, ...], ...]
     x0: tuple[float, ...] | None = None
-    sides: tuple[float, ...] = (1.0, 1.0)
+    sides: tuple[float, ...] | None = None
     radius: float = 1.0
     sample: str = "grid"  # rect only: "grid" | "arbitrary"
     nodes: int = 64
@@ -202,14 +207,21 @@ class ExperimentConfig:
             raise ValueError("ball runs support only grid sampling")
         if not self.schedule:
             raise ValueError("schedule must be nonempty")
+        entry = get_field(self.field_id)  # raises for unknown ids
+        dim = entry.field.dim
+        x0 = entry.anchor if self.x0 is None else self.x0
+        object.__setattr__(self, "x0", tuple(float(v) for v in x0))
+        sides = (1.0,) * dim if self.sides is None else self.sides
+        object.__setattr__(self, "sides", tuple(float(v) for v in sides))
         # rejected here too, before the limit quadrature runs on them
         if not all(math.isfinite(v) for v in self.sides):
             raise ValueError("side lengths must be finite")
         if not math.isfinite(self.radius):
             raise ValueError("radius must be finite")
-        if self.x0 is not None and not all(math.isfinite(v) for v in self.x0):
+        if not all(math.isfinite(v) for v in self.x0):
             raise ValueError("x0 must be finite")
-        dim = get_field(self.field_id).field.dim  # raises for unknown ids
+        if len(self.x0) != dim:
+            raise ValueError(f"x0 must have {dim} entries for field {self.field_id}, got {len(self.x0)}")
         if self.region == "rect" and len(self.sides) != dim:
             raise ValueError(f"sides must have {dim} entries for field {self.field_id}, got {len(self.sides)}")
 
@@ -249,8 +261,7 @@ class ConvergenceResult:
         buf.write(f"schema,{CSV_SCHEMA}\n")
         buf.write(f"field,{cfg.field_id}\n")
         buf.write(f"region,{cfg.region}\n")
-        x0 = cfg.x0 if cfg.x0 is not None else get_field(cfg.field_id).anchor
-        buf.write("x0," + ";".join(repr(float(v)) for v in x0) + "\n")
+        buf.write("x0," + ";".join(repr(float(v)) for v in cfg.x0) + "\n")
         if cfg.region == "rect":
             buf.write("sides," + ";".join(repr(float(v)) for v in cfg.sides) + "\n")
         else:
@@ -285,17 +296,10 @@ def antipodal_half(sample: SampleMatrix) -> np.ndarray:
     return sample.directions[:, keep]
 
 
-def _resolve(config: ExperimentConfig) -> tuple[FieldEntry, np.ndarray]:
-    entry = get_field(config.field_id)
-    x0 = np.array(config.x0 if config.x0 is not None else entry.anchor, dtype=float)
-    if x0.size != entry.field.dim:
-        raise ValueError("x0 dimension does not match the field")
-    return entry, x0
-
-
 def convergence(config: ExperimentConfig) -> ConvergenceResult:
     """Run the schedule and collect one row per sample density."""
-    entry, x0 = _resolve(config)
+    entry = get_field(config.field_id)
+    x0 = np.array(config.x0)
     field = entry.field
     spec = QuadratureSpec(config.nodes)
     true_grad = field.gradient(x0)

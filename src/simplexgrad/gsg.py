@@ -47,10 +47,11 @@ class ScalarField:
     ``fn`` is evaluated on arrays of shape (m, n) and should return shape
     (m,); plain scalar-valued callables are also accepted and looped over.
     A ``MemoryError`` from the array call propagates instead of starting
-    that loop. ``grad`` and ``hess`` (if given) are evaluated at single points.
-    ``grad_lipschitz``/``hess_lipschitz``, when present, are constants
-    valid on the ball of radius ``lipschitz_radius`` about
-    ``lipschitz_center``.
+    that loop. When the array call raised and the loop raises too, the
+    loop's exception is raised with the array call's as its ``__cause__``:
+    either one may be the field's own. ``grad`` and ``hess`` (if given) are
+    evaluated at single points. Lipschitz data lives in the registry, in
+    ``FieldEntry.grad_lipschitz_on`` and ``FieldEntry.hess_lipschitz_on``.
     """
 
     dim: int
@@ -58,10 +59,6 @@ class ScalarField:
     grad: Callable | None = None
     hess: Callable | None = None
     name: str = ""
-    grad_lipschitz: float | None = None
-    hess_lipschitz: float | None = None
-    lipschitz_center: tuple[float, ...] | None = None
-    lipschitz_radius: float | None = None
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -73,12 +70,19 @@ class ScalarField:
         with _quiet_overflow():
             try:
                 vals = np.asarray(self.fn(points), dtype=float)
-                if vals.shape != points.shape[:1]:
-                    raise TypeError("non-vectorized evaluator")
+                if vals.shape == points.shape[:1]:
+                    return vals[0] if squeeze else vals
+                array_error = None  # a scalar-valued callable
             except MemoryError:
                 raise
-            except Exception:
+            except Exception as exc:
+                array_error = exc
+            try:
                 vals = np.array([float(self.fn(p)) for p in points])
+            except MemoryError:
+                raise
+            except Exception as exc:
+                raise exc from array_error
         return vals[0] if squeeze else vals
 
     def gradient(self, x) -> np.ndarray:
@@ -101,7 +105,6 @@ class GradientEstimate:
     ``route`` is the solve that produced it (``"normal-equations"`` or
     ``"svd"``) and ``cond`` is ``sqrt(lambda_max / lambda_min)`` of the
     sample's Gram matrix, i.e. cond(S), infinite when lambda_min <= 0.
-    Neither is written by ``to_csv_row``.
     """
 
     estimate: np.ndarray
@@ -112,16 +115,6 @@ class GradientEstimate:
     error: float | None = None
     route: str | None = None
     cond: float | None = None
-
-    CSV_HEADER = "x0,n_samples,radius,estimate,error,bounds"
-
-    def to_csv_row(self, bounds=None) -> str:
-        """One CSV line; ``bounds`` is an optional mapping of kind to value."""
-        x0 = ";".join(repr(float(v)) for v in self.x0)
-        est = ";".join(repr(float(v)) for v in self.estimate)
-        err = "" if self.error is None else repr(float(self.error))
-        attached = "" if not bounds else ";".join(f"{k}={repr(float(v))}" for k, v in sorted(bounds.items()))
-        return f"{x0},{self.n_samples},{repr(float(self.radius))},{est},{err},{attached}"
 
 
 def _increments(field: ScalarField, x0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -147,7 +140,9 @@ def _increments(field: ScalarField, x0: np.ndarray, offsets: np.ndarray) -> np.n
             except MemoryError:
                 raise
             except Exception as exc:
-                raise EvaluationError(j, point, str(exc)) from exc
+                # a field that failed on the array and on the point is named by both
+                cause = str(exc) if exc.__cause__ is None else f"{exc.__cause__}; one point at a time: {exc}"
+                raise EvaluationError(j, point, cause) from exc
         raise
     if not math.isfinite(base):
         raise EvaluationError(-1, x0, f"non-finite value {base}")

@@ -9,13 +9,12 @@ function increment over the region:
 * ball: ``(2 pi / V_{n+2}) * T`` with T the same moments over the ball.
 
 ``taylor_diagnostics`` splits T into its Taylor pieces (linear term,
-curvature term, remainder), which is how the limit error bounds are
-organized.
+curvature term, remainder), a diagnostic of where the limit's error comes
+from.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -50,29 +49,6 @@ class LimitGradientResult:
     region_params: tuple[float, ...]  # sides d, or (radius,)
     x0: np.ndarray
     nodes_per_axis: int
-    diagnostics: dict | None = None
-
-    CSV_HEADER = "region,params,x0,nodes,moments,estimate"
-
-    def to_csv_row(self) -> str:
-        params = ";".join(repr(float(v)) for v in self.region_params)
-        x0 = ";".join(repr(float(v)) for v in self.x0)
-        mom = ";".join(repr(float(v)) for v in self.moments)
-        est = ";".join(repr(float(v)) for v in self.estimate)
-        return f"{self.region_kind},{params},{x0},{self.nodes_per_axis},{mom},{est}"
-
-    def to_json(self) -> str:
-        payload = {
-            "region": self.region_kind,
-            "params": [float(v) for v in self.region_params],
-            "x0": [float(v) for v in self.x0],
-            "nodes": self.nodes_per_axis,
-            "moments": [float(v) for v in self.moments],
-            "estimate": [float(v) for v in self.estimate],
-        }
-        if self.diagnostics is not None:
-            payload["diagnostics"] = {k: [float(v) for v in vec] for k, vec in self.diagnostics.items()}
-        return json.dumps(payload, sort_keys=True)
 
 
 def _moments(field: ScalarField, x0, points: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -29,18 +29,16 @@ def _as_finite_2d(a, name: str) -> np.ndarray:
     return arr
 
 
-def pseudoinverse(a, rcond: float | None = None) -> np.ndarray:
+def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``rcond * sigma_max`` are treated as zero.
-    The default cutoff is ``max(rows, cols) * machine epsilon``, which keeps
-    near-rank-deficient sample grids (small subdivision counts) stable.
+    Singular values at or below ``max(rows, cols) * machine epsilon *
+    sigma_max`` are treated as zero, which keeps near-rank-deficient sample
+    grids (small subdivision counts) stable.
     """
     arr = _as_finite_2d(a, "a")
-    if rcond is None:
-        rcond = max(arr.shape) * np.finfo(float).eps
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    cutoff = rcond * (s[0] if s.size else 0.0)
+    cutoff = max(arr.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gsg import ScalarField
 from .linalg import gamma_half_integer
-from .regions import DEFAULT_COLUMN_BUDGET, _along, _check_budget, _spherical_map
+from .regions import _along, _check_budget, _spherical_map
 
 __all__ = [
     "QuadratureSpec",
@@ -33,13 +33,10 @@ class QuadratureSpec:
     """Tensor Gauss-Legendre rule: ``nodes_per_axis`` points on every axis."""
 
     nodes_per_axis: int = 32
-    scheme: str = "gauss-legendre"
 
     def __post_init__(self):
         if self.nodes_per_axis < 2:
             raise ValueError("nodes_per_axis must be at least 2")
-        if self.scheme != "gauss-legendre":
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
 
 
 def _gl_axis(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +71,7 @@ def box_nodes(d, spec: QuadratureSpec = QuadratureSpec()) -> tuple[np.ndarray, n
     d = np.asarray(d, dtype=float).reshape(-1)
     if d.size < 1 or np.any(d <= 0):
         raise ValueError("side lengths must all be positive")
-    _check_budget(spec.nodes_per_axis**d.size, DEFAULT_COLUMN_BUDGET, "quadrature nodes")
+    _check_budget(spec.nodes_per_axis**d.size, "quadrature nodes")
     return _tensor([_gl_axis(0.0, di, spec.nodes_per_axis) for di in d])
 
 
@@ -92,7 +89,7 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> tup
     if r <= 0:
         raise ValueError("radius must be positive")
     m = spec.nodes_per_axis
-    _check_budget(m**n, DEFAULT_COLUMN_BUDGET, "quadrature nodes")
+    _check_budget(m**n, "quadrature nodes")
     axes = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
     axes += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
     rho, theta, *phis = [_along(q, k, n) for k, (q, _) in enumerate(axes)]

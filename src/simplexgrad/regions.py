@@ -32,7 +32,6 @@ __all__ = [
     "rect_grid_sample",
     "rect_arbitrary_sample",
     "ball_grid_sample",
-    "spherical_to_cartesian",
     "grid_jacobian",
     "sample_radius",
 ]
@@ -41,7 +40,7 @@ DEFAULT_COLUMN_BUDGET = 10_000_000
 
 
 class BudgetExceededError(ValueError):
-    """Requested grid would exceed the configured column budget."""
+    """Requested grid would exceed ``DEFAULT_COLUMN_BUDGET``."""
 
 
 @dataclass(frozen=True)
@@ -192,9 +191,9 @@ class SampleMatrix:
         return text
 
 
-def _check_budget(n_cells: int, budget: int, unit: str = "columns") -> None:
-    if n_cells > budget:
-        raise BudgetExceededError(f"grid would need {n_cells} {unit}; budget is {budget}")
+def _check_budget(n_cells: int, unit: str = "columns") -> None:
+    if n_cells > DEFAULT_COLUMN_BUDGET:
+        raise BudgetExceededError(f"grid would need {n_cells} {unit}; budget is {DEFAULT_COLUMN_BUDGET}")
 
 
 def _along(v, axis: int, ndim: int) -> np.ndarray:
@@ -234,14 +233,15 @@ def _spherical_map(rho, theta, phis, out: np.ndarray) -> None:
     out[n - 1] = running * np.sin(theta)
 
 
-def rect_grid_sample(region: HyperrectRegion, budget: int = DEFAULT_COLUMN_BUDGET) -> SampleMatrix:
+def rect_grid_sample(region: HyperrectRegion) -> SampleMatrix:
     """Directions to the far corner of every cell of the box grid.
 
     The column for multi-index (j, z_2..z_n) is
     ``(j h_1, z_2 h_2, ..., z_n h_n)`` with h the cell side lengths; the
-    matrix has full row rank for all counts >= 2.
+    matrix has full row rank for all counts >= 2. Raises
+    ``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET`` columns.
     """
-    _check_budget(region.n_cells, budget)
+    _check_budget(region.n_cells)
     n = region.dim
     # columns run with j (axis 1) fastest, then z_n, ..., z_2 slowest
     order = tuple(range(1, n)) + (0,)
@@ -254,21 +254,17 @@ def rect_grid_sample(region: HyperrectRegion, budget: int = DEFAULT_COLUMN_BUDGE
     return SampleMatrix(directions, "rect-grid", idx, region)
 
 
-def rect_arbitrary_sample(
-    region: HyperrectRegion,
-    offsets=None,
-    seed=None,
-    budget: int = DEFAULT_COLUMN_BUDGET,
-) -> SampleMatrix:
+def rect_arbitrary_sample(region: HyperrectRegion, offsets=None, seed=None) -> SampleMatrix:
     """One direction per cell, at an arbitrary point of the closed cell.
 
     The sampled point for a cell is its far corner minus ``offsets * h``
     componentwise, with every offset in [0, 1] (0 keeps the far corner,
     1 reaches the near corner; cell boundaries are allowed). Offsets come
     either from ``offsets`` (an (n, N) array) or from a seeded generator.
+    The column budget is that of ``rect_grid_sample``, which builds the
+    far corners.
     """
-    _check_budget(region.n_cells, budget)
-    grid = rect_grid_sample(region, budget)
+    grid = rect_grid_sample(region)
     n, cols = grid.directions.shape
     if offsets is None:
         rng = np.random.default_rng(seed)
@@ -284,7 +280,7 @@ def rect_arbitrary_sample(
     return SampleMatrix(directions, "rect-arbitrary", grid.indices, region)
 
 
-def ball_grid_sample(region: BallRegion, budget: int = DEFAULT_COLUMN_BUDGET) -> SampleMatrix:
+def ball_grid_sample(region: BallRegion) -> SampleMatrix:
     """Directions to the outer corner of every cell of the polar grid.
 
     For multi-index y = (y_1..y_n) the column has radius ``r y_1 / N_1``;
@@ -298,9 +294,10 @@ def ball_grid_sample(region: BallRegion, budget: int = DEFAULT_COLUMN_BUDGET) ->
     so the columns differing only in later indices agree to ~1e-16 r (not
     bitwise). In 3-d that gives N_1 (N_2 - 1) repeats, e.g. 27 distinct
     columns of 36 at counts (3, 4, 3). They are kept because the paper's
-    construction has them; they count in N.
+    construction has them; they count in N. Raises ``BudgetExceededError``
+    above ``DEFAULT_COLUMN_BUDGET`` columns.
     """
-    _check_budget(region.n_cells, budget)
+    _check_budget(region.n_cells)
     n = region.dim
     counts = region.counts
     y = [np.arange(1, c + 1) for c in counts]
@@ -311,27 +308,6 @@ def ball_grid_sample(region: BallRegion, budget: int = DEFAULT_COLUMN_BUDGET) ->
     _spherical_map(rho, theta, phis, directions.reshape((n,) + counts))
     idx = _grid_indices(counts, tuple(range(n)))
     return SampleMatrix(directions, "ball-grid", idx, region)
-
-
-def spherical_to_cartesian(rho: float, angles) -> np.ndarray:
-    """Point with norm ``rho`` from spherical coordinates.
-
-    ``angles[0]`` is the azimuth (full turn) and ``angles[1:]`` the polar
-    angles (half turn each); the result has dimension ``len(angles) + 1``.
-    Uses the standard map: x_1 = rho cos(phi_1), then successive
-    sin-products, with the azimuthal cos/sin pair in the last two
-    coordinates. ``ball_grid_sample`` uses the same map, so its column for
-    multi-index y is this point at ``rho = r y_1/N_1`` and angles
-    ``(2 pi y_2/N_2, pi y_3/N_3, ..., pi y_n/N_n)``.
-    """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    angles = np.asarray(angles, dtype=float).reshape(-1)
-    if angles.size < 1:
-        raise ValueError("at least the azimuthal angle is required")
-    out = np.empty(angles.size + 1)
-    _spherical_map(float(rho), angles[0], angles[1:], out)
-    return out
 
 
 def grid_jacobian(region: BallRegion, y) -> float:

@@ -221,10 +221,3 @@ class TestLimitBoundBall:
             limit_bound_ball(1, 1.0, 1.0)
         with pytest.raises(ValueError):
             limit_bound_ball(2, -1.0, 1.0)
-
-
-def test_bound_report_csv():
-    report = limit_bound_ball(2, 1.0, 6.0)
-    row = report.to_csv_row()
-    assert row.startswith("limit-ball,")
-    assert "ball" in row

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from simplexgrad.cli import _parse_schedule, main
+from simplexgrad.experiments import ExperimentConfig, convergence
 
 
 class TestScheduleParsing:
@@ -146,12 +147,23 @@ class TestCli:
     def test_rect_sides_follow_the_field_dimension(self, capsys):
         code = main(["convergence", "--field", "affine3", "--region", "rect", "--schedule", "4", "--nodes", "8"])
         assert code == 0
-        assert "sides,1.0;1.0;1.0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sides,1.0;1.0;1.0" in out
+        # the library's config defaults are the CLI's
+        config = ExperimentConfig(field_id="affine3", region="rect", schedule=((4, 4, 4),), nodes=8)
+        assert convergence(config).to_csv() == out
         code = main(["convergence", "--field", "affine3", "--region", "rect", "--sides", "1,1",
                      "--schedule", "4", "--nodes", "8"])
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: sides must have 3 entries for field affine3, got 2\n"
+
+    def test_x0_of_the_wrong_length_is_rejected_at_construction(self, capsys):
+        with pytest.raises(ValueError, match="x0 must have 2 entries for field cubic2, got 3"):
+            ExperimentConfig(field_id="cubic2", region="rect", schedule=((4, 4),), x0=(1, 2, 3))
+        code = main(["convergence", "--field", "cubic2", "--region", "rect", "--x0", "1,2,3", "--schedule", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: x0 must have 2 entries for field cubic2, got 3\n"
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_evaluation_failure_is_one_line_error(self, capsys):

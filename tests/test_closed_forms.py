@@ -8,7 +8,6 @@ import pytest
 
 from simplexgrad.closed_forms import (
     ball_gamma_ratio,
-    ball_second_moment,
     ball_volume,
     dense_limit_matrix,
     grid_gram,
@@ -133,20 +132,19 @@ class TestBallConstants:
         values = [ball_gamma_ratio(n) for n in range(1, 21)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    # the integral of x_i^2 over the ball of radius r is V_{n+2}(r) / (2 pi),
+    # the constant in the ball limit (2 pi / V_{n+2}) T
     def test_second_moment_two_dimensional(self):
-        m = ball_second_moment(2, 1.0)
-        assert np.allclose(m, (math.pi / 4.0) * np.eye(2), atol=1e-14)
+        assert ball_volume(4, 1.0) / (2.0 * math.pi) == pytest.approx(math.pi / 4.0, rel=1e-14)
 
     def test_second_moment_matches_monomial_oracle(self):
         for n in (2, 3, 4):
-            m = ball_second_moment(n, 1.5)
             alpha = (2,) + (0,) * (n - 1)
             expected = monomial_ball_integral(alpha, n, 1.5)
-            assert m[0, 0] == pytest.approx(expected, rel=1e-10)
+            assert ball_volume(n + 2, 1.5) / (2.0 * math.pi) == pytest.approx(expected, rel=1e-10)
 
     def test_second_moment_matches_quadrature(self):
-        m = ball_second_moment(2, 1.0)
         diag = integrate_ball(lambda x: x[:, 0] ** 2, 2, 1.0)
         off = integrate_ball(lambda x: x[:, 0] * x[:, 1], 2, 1.0)
-        assert m[0, 0] == pytest.approx(diag, abs=1e-8)
-        assert abs(m[0, 1] - off) < 1e-8
+        assert ball_volume(4, 1.0) / (2.0 * math.pi) == pytest.approx(diag, abs=1e-8)
+        assert abs(off) < 1e-8

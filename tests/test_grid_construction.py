@@ -20,7 +20,6 @@ from simplexgrad.regions import (
     HyperrectRegion,
     ball_grid_sample,
     rect_grid_sample,
-    spherical_to_cartesian,
 )
 
 
@@ -120,16 +119,6 @@ def test_ball_grid_matches_reference_bitwise(counts):
     directions, idx = reference_ball_grid(region)
     assert np.array_equal(sample.directions, directions)
     assert np.array_equal(sample.indices, idx) and sample.indices.dtype == idx.dtype
-
-
-@pytest.mark.parametrize("counts", COUNTS)
-def test_spherical_to_cartesian_matches_ball_grid_columns(counts):
-    region = BallRegion((0.0,) * len(counts), 1.7, counts)
-    sample = ball_grid_sample(region)
-    for col, y in zip(sample.directions.T, sample.indices):
-        rho = region.r * y[0] / counts[0]
-        angles = [2.0 * math.pi * y[1] / counts[1]] + [math.pi * y[k] / counts[k] for k in range(2, len(counts))]
-        assert np.max(np.abs(spherical_to_cartesian(rho, angles) - col)) <= 1e-15 * region.r
 
 
 @pytest.mark.parametrize(

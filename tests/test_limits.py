@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -189,16 +188,6 @@ class TestTaylorDiagnostics:
         )
         with pytest.raises(EvaluationError, match="non-finite increment inf"):
             taylor_diagnostics(field, (0.0, 0.0), spec=QuadratureSpec(8), **region)
-
-
-def test_result_serialization():
-    res = limit_gradient_box(QUAD2, (3.0, 1.0), (1.0, 1.0), SPEC64)
-    row = res.to_csv_row()
-    assert row.startswith("box,")
-    payload = json.loads(res.to_json())
-    assert payload["region"] == "box"
-    assert payload["nodes"] == 64
-    assert len(payload["estimate"]) == 2
 
 
 @pytest.mark.parametrize("limit", [limit_gradient_box, limit_gradient_ball])

@@ -146,5 +146,3 @@ def test_ball_nodes_weights_integrate_volume():
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_axis=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(scheme="monte-carlo")

@@ -17,7 +17,6 @@ from simplexgrad.regions import (
     rect_arbitrary_sample,
     rect_grid_sample,
     sample_radius,
-    spherical_to_cartesian,
 )
 
 SQUARE_REGION = HyperrectRegion(x0=(0.0, 0.0), d=(12.0, 6.0), counts=(3, 2))
@@ -62,7 +61,7 @@ class TestRectGrid:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 1.0), (5000, 5000)), budget=10**6)
+            rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 1.0), (5000, 5000)))
 
     def test_region_validation(self):
         with pytest.raises(ValueError):
@@ -174,25 +173,6 @@ class TestBallGrid:
     def test_non_finite_radius_rejected(self, r):
         with pytest.raises(ValueError, match="finite"):
             BallRegion((0.0, 0.0), r, (3, 3))
-
-
-class TestSphericalConversion:
-    def test_zero_radius(self):
-        assert np.allclose(spherical_to_cartesian(0.0, [0.3, 1.2, 2.0]), np.zeros(4))
-
-    def test_unit_circle(self):
-        assert np.allclose(spherical_to_cartesian(1.0, [math.pi / 2.0]), [0.0, 1.0], atol=1e-15)
-
-    def test_norm_and_round_trip_three_dimensional(self):
-        x = spherical_to_cartesian(2.0, [math.pi / 4.0, math.pi / 3.0])
-        assert np.linalg.norm(x) == pytest.approx(2.0, abs=1e-12)
-        # recover the polar angle from the leading component, azimuth from the pair
-        assert math.acos(x[0] / 2.0) == pytest.approx(math.pi / 3.0, abs=1e-12)
-        assert math.atan2(x[2], x[1]) == pytest.approx(math.pi / 4.0, abs=1e-12)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            spherical_to_cartesian(-1.0, [0.0])
 
 
 class TestGridJacobian:
