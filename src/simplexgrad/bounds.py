@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import ball_gamma_ratio
-from .regions import _directions, _gram_spectrum, sample_radius
+from .regions import _as_sample, sample_radius
 
 __all__ = [
     "RankDeficiencyError",
@@ -54,14 +54,14 @@ _GRAM_ROUTE_MIN_RATIO = 1e-6
 def _min_max_singular(sample, delta: float) -> tuple[float, float]:
     """Smallest and largest singular values of ``S / delta``.
 
-    Read from the Gram spectrum (the sample's shared one for a
-    ``SampleMatrix``) when S is well conditioned, else from an SVD.
+    Read from the sample's shared Gram spectrum when S is well
+    conditioned, else from an SVD of the full direction array.
     """
-    _, eigvals = _gram_spectrum(sample)
+    _, eigvals = sample.gram_spectrum
     lo, hi = float(eigvals[0]), float(eigvals[-1])
     if hi > 0 and lo >= _GRAM_ROUTE_MIN_RATIO * hi:
         return math.sqrt(lo) / delta, math.sqrt(hi) / delta
-    sv = np.linalg.svd(_directions(sample) / delta, compute_uv=False)
+    sv = np.linalg.svd(sample.directions / delta, compute_uv=False)
     return float(sv[-1]), float(sv[0])
 
 
@@ -75,7 +75,8 @@ def classical_bound(sample, grad_lipschitz: float) -> BoundReport:
     """
     if grad_lipschitz < 0:
         raise ValueError("grad_lipschitz must be nonnegative")
-    cols = _directions(sample).shape[1]
+    sample = _as_sample(sample)
+    cols = sample.n_columns
     radius = sample_radius(sample)
     smin, smax = _min_max_singular(sample, radius)
     if smin <= 1e-12 * smax:
@@ -98,7 +99,8 @@ def centered_bound(half_sample, hess_lipschitz: float, radius: float | None = No
     """
     if hess_lipschitz < 0:
         raise ValueError("hess_lipschitz must be nonnegative")
-    half_cols = _directions(half_sample).shape[1]
+    half_sample = _as_sample(half_sample)
+    half_cols = half_sample.n_columns
     delta = sample_radius(half_sample) if radius is None else float(radius)
     if delta <= 0:
         raise ValueError("radius must be positive")

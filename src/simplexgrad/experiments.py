@@ -224,6 +224,13 @@ class ExperimentConfig:
             raise ValueError(f"x0 must have {dim} entries for field {self.field_id}, got {len(self.x0)}")
         if self.region == "rect" and len(self.sides) != dim:
             raise ValueError(f"sides must have {dim} entries for field {self.field_id}, got {len(self.sides)}")
+        # checked here, before the limit quadrature and any earlier row run
+        least = 2 if self.region == "rect" else 3
+        for counts in self.schedule:
+            if len(counts) != dim:
+                raise ValueError(f"schedule rows must have {dim} counts for field {self.field_id}, got {tuple(counts)}")
+            if min(counts) < least:
+                raise ValueError(f"{self.region} subdivision counts must be >= {least}, got {tuple(counts)}")
 
 
 @dataclass(frozen=True)
@@ -285,15 +292,20 @@ def antipodal_half(sample: SampleMatrix) -> np.ndarray:
     """Half matrix A with the full planar ball grid equal to [A, -A] up to order.
 
     Requires a 2-d ball grid with an even azimuthal count: the column at
-    azimuthal index y2 + N2/2 is the negation of the one at y2.
+    azimuthal index y2 + N2/2 is the negation of the one at y2. A is the
+    columns with y2 <= N2/2, cut from each column block seen as
+    (2, radial slices, N2), so the full direction array is never formed.
     """
     if sample.tag != "ball-grid" or sample.dim != 2:
         raise ValueError("mirrored structure is only extracted from 2-d ball grids")
-    n2 = sample.region.counts[1]
+    n1, n2 = sample.region.counts
     if n2 % 2 != 0:
         raise ValueError("azimuthal count must be even for the mirrored split")
-    keep = sample.indices[:, 1] <= n2 // 2
-    return sample.directions[:, keep]
+    half = np.empty((2, n1, n2 // 2))
+    for start, block in sample._blocks():
+        rows = block.reshape(2, -1, n2)
+        half[:, start // n2 : start // n2 + rows.shape[1]] = rows[:, :, : n2 // 2]
+    return half.reshape(2, -1)
 
 
 def convergence(config: ExperimentConfig) -> ConvergenceResult:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import pseudoinverse
-from .regions import _directions, _gram_spectrum, sample_radius
+from .regions import _as_sample, sample_radius
 
 __all__ = [
     "EvaluationError",
@@ -28,11 +28,15 @@ __all__ = [
 
 
 class EvaluationError(RuntimeError):
-    """Field evaluation failed or returned a non-finite value."""
+    """Field evaluation failed or returned a non-finite value.
 
-    def __init__(self, column: int, point, cause: str):
-        self.column = column
-        super().__init__(f"field evaluation failed at column {column} (point {point}): {cause}")
+    ``index`` is the failing sample column or quadrature node (``unit``);
+    -1 is the reference point.
+    """
+
+    def __init__(self, index: int, point, cause: str, unit: str = "column"):
+        self.index = index
+        super().__init__(f"field evaluation failed at {unit} {index} (point {point}): {cause}")
 
 
 def _quiet_overflow() -> np.errstate:
@@ -46,6 +50,8 @@ class ScalarField:
 
     ``fn`` is evaluated on arrays of shape (m, n) and should return shape
     (m,); plain scalar-valued callables are also accepted and looped over.
+    When m == n the array call gets one more row (a copy of the last), so
+    that a scalar callable indexing rows cannot pass for a vectorized one.
     A ``MemoryError`` from the array call propagates instead of starting
     that loop. When the array call raised and the loop raises too, the
     loop's exception is raised with the array call's as its ``__cause__``:
@@ -68,10 +74,12 @@ class ScalarField:
         if points.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} components")
         with _quiet_overflow():
+            m = len(points)
+            probe = points if m != self.dim else np.concatenate([points, points[-1:]])
             try:
-                vals = np.asarray(self.fn(points), dtype=float)
-                if vals.shape == points.shape[:1]:
-                    return vals[0] if squeeze else vals
+                vals = np.asarray(self.fn(probe), dtype=float)
+                if vals.shape == probe.shape[:1]:
+                    return vals[0] if squeeze else vals[:m]
                 array_error = None  # a scalar-valued callable
             except MemoryError:
                 raise
@@ -117,58 +125,81 @@ class GradientEstimate:
     cond: float | None = None
 
 
-def _increments(field: ScalarField, x0: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Increments ``f(x0 + offsets[j]) - f(x0)``, one per row of the (m, n) ``offsets``.
+def _cause(exc: Exception) -> str:
+    # a field that failed on the array and on the point is named by both
+    return str(exc) if exc.__cause__ is None else f"{exc.__cause__}; one point at a time: {exc}"
 
-    Raises ``EvaluationError`` at the first row whose evaluation fails or
-    whose increment is not finite (row -1 is x0 itself). ``MemoryError``
+
+def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"):
+    """Yield ``(start, offsets, increments)`` for each ``(start, offsets)`` of ``blocks``.
+
+    ``offsets`` is an (m, n) block of rows whose first has index ``start``;
+    its increments are ``f(x0 + offsets[j]) - f(x0)``. f(x0) is evaluated
+    once, before the first block. Raises ``EvaluationError`` at the first
+    row whose evaluation fails or whose increment is not finite (row -1 is
+    x0 itself), naming it by its index as a ``unit``. ``MemoryError``
     propagates unchanged.
     """
-    if x0.shape != (field.dim,) or offsets.shape[1:] != (field.dim,):
+    if x0.shape != (field.dim,):
         raise ValueError(f"points must have {field.dim} components")
     try:
         base = float(field(x0))
-        values = field(x0 + offsets)
     except MemoryError:
         raise
-    except Exception:
-        # re-evaluate one point at a time to name the first that fails
-        for j in range(-1, len(offsets)):
-            point = x0 if j < 0 else x0 + offsets[j]
-            try:
-                field(point)
-            except MemoryError:
-                raise
-            except Exception as exc:
-                # a field that failed on the array and on the point is named by both
-                cause = str(exc) if exc.__cause__ is None else f"{exc.__cause__}; one point at a time: {exc}"
-                raise EvaluationError(j, point, cause) from exc
-        raise
+    except Exception as exc:
+        raise EvaluationError(-1, x0, _cause(exc), unit) from exc
     if not math.isfinite(base):
-        raise EvaluationError(-1, x0, f"non-finite value {base}")
-    with _quiet_overflow():
-        increments = values - base
-        # one reduction on the success path; the scan runs only when it is not finite
-        total_finite = np.isfinite(np.sum(increments))
-    if not total_finite:
-        bad = np.flatnonzero(~np.isfinite(increments))
-        if bad.size:
-            j = int(bad[0])
-            raise EvaluationError(j, x0 + offsets[j], f"non-finite increment {increments[j]}")
-    return increments
+        raise EvaluationError(-1, x0, f"non-finite value {base}", unit)
+    for start, offsets in blocks:
+        if offsets.shape[1:] != (field.dim,):
+            raise ValueError(f"points must have {field.dim} components")
+        try:
+            values = field(x0 + offsets)
+        except MemoryError:
+            raise
+        except Exception:
+            # re-evaluate one point at a time to name the first that fails
+            for j in range(len(offsets)):
+                point = x0 + offsets[j]
+                try:
+                    field(point)
+                except MemoryError:
+                    raise
+                except Exception as exc:
+                    raise EvaluationError(start + j, point, _cause(exc), unit) from exc
+            raise
+        with _quiet_overflow():
+            increments = values - base
+            # one reduction on the success path; the scan runs only when it is not finite
+            total_finite = np.isfinite(np.sum(increments))
+        if not total_finite:
+            bad = np.flatnonzero(~np.isfinite(increments))
+            if bad.size:
+                j = int(bad[0])
+                raise EvaluationError(start + j, x0 + offsets[j], f"non-finite increment {increments[j]}", unit)
+        yield start, offsets, increments
+
+
+def _column_offsets(sample):
+    """``(start, offsets)`` per column block of a sample: the block's directions as rows."""
+    for start, block in sample._blocks():
+        yield start, block.T
 
 
 def function_increments(field: ScalarField, x0, sample) -> np.ndarray:
     """Vector of increments ``f(x0 + S e_j) - f(x0)``, in column order.
 
-    The reference value f(x0) is evaluated once. Columns are evaluated in
-    index order so floating-point results are reproducible.
+    The reference value f(x0) is evaluated once, then the columns block by
+    block in index order, so floating-point results are reproducible.
     """
-    s = _directions(sample)
+    sample = _as_sample(sample)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != s.shape[0]:
+    if x0.size != sample.dim:
         raise ValueError("x0 dimension does not match the sample matrix")
-    return _increments(field, x0, s.T)
+    df = np.empty(sample.n_columns)
+    for start, _, increments in _increments(field, x0, _column_offsets(sample)):
+        df[start : start + increments.size] = increments
+    return df
 
 
 def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
@@ -177,23 +208,27 @@ def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
     Solves the normal equations when the sample has more columns than rows
     and full row rank; otherwise falls back to the SVD pseudoinverse. Both
     routes agree (to roundoff) whenever S has full row rank. The Gram
-    matrix and its eigenvalues are the sample's shared ``gram_spectrum``.
+    matrix and its eigenvalues are the sample's shared ``gram_spectrum``;
+    on the normal-equations route ``S df`` is summed block by block, so no
+    n x N array is formed.
     """
-    s = _directions(sample)
+    sample = _as_sample(sample)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    df = function_increments(field, x0, sample)
-    n, cols = s.shape
-    gram, eigvals = _gram_spectrum(sample)
+    if x0.size != sample.dim:
+        raise ValueError("x0 dimension does not match the sample matrix")
+    n, cols = sample.dim, sample.n_columns
+    gram, eigvals = sample.gram_spectrum
     cond = math.sqrt(eigvals[-1] / eigvals[0]) if eigvals[0] > 0 else math.inf
-    estimate = None
-    if cols >= n:
-        cutoff = (max(n, cols) * np.finfo(float).eps) ** 2 * max(eigvals[-1], 0.0)
-        if eigvals[0] > cutoff:
-            estimate = np.linalg.solve(gram.T, s @ df)
-            route = "normal-equations"
-    if estimate is None:
+    cutoff = (max(n, cols) * np.finfo(float).eps) ** 2 * max(eigvals[-1], 0.0)
+    if cols >= n and eigvals[0] > cutoff:
+        s_df = np.zeros(n)
+        for _, offsets, increments in _increments(field, x0, _column_offsets(sample)):
+            s_df += offsets.T @ increments
+        estimate = np.linalg.solve(gram.T, s_df)
+        route = "normal-equations"
+    else:
         # rank-deficient or wide-but-singular sample: SVD pseudoinverse route
-        estimate = pseudoinverse(s).T @ df
+        estimate = pseudoinverse(sample.directions).T @ function_increments(field, x0, sample)
         route = "svd"
     true_grad = None
     error = None

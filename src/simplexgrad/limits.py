@@ -23,6 +23,7 @@ import numpy as np
 from .closed_forms import ball_volume, dense_limit_matrix
 from .gsg import EvaluationError, ScalarField, _increments
 from .quadrature import QuadratureSpec, ball_nodes, box_nodes
+from .regions import BLOCK_COLUMNS
 
 __all__ = [
     "CapabilityError",
@@ -52,12 +53,15 @@ class LimitGradientResult:
 
 
 def _moments(field: ScalarField, x0, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_j w_j (f(x0 + p_j) - f(x0)) p_j``, accumulated over blocks of ``BLOCK_COLUMNS`` nodes."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    increments = _increments(field, x0, points)
+    blocks = ((lo, points[lo : lo + BLOCK_COLUMNS]) for lo in range(0, len(points), BLOCK_COLUMNS))
+    moments = np.zeros(points.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = (weights * increments) @ points
+        for lo, offsets, increments in _increments(field, x0, blocks, unit="node"):
+            moments += (weights[lo : lo + len(offsets)] * increments) @ offsets
     if not np.isfinite(moments).all():
-        raise EvaluationError(-1, x0, f"moments overflow: {moments}")
+        raise EvaluationError(-1, x0, f"moments overflow: {moments}", unit="node")
     return moments
 
 
@@ -136,10 +140,8 @@ def taylor_diagnostics(
     g = field.gradient(x0)
     if d is not None:
         points, weights = box_nodes(np.asarray(d, dtype=float), spec)
-        linear = points @ g
-        v = (weights * linear) @ points
-        w = (weights * (_increments(field, x0, points) - linear)) @ points
-        return {"v": v, "w": w}
+        v = (weights * (points @ g)) @ points
+        return {"v": v, "w": _moments(field, x0, points, weights) - v}
     if field.hess is None:
         raise CapabilityError("the ball split requires an analytic Hessian")
     points, weights = ball_nodes(field.dim, float(r), spec)

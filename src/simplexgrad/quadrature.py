@@ -15,7 +15,7 @@ import numpy as np
 
 from .gsg import ScalarField
 from .linalg import gamma_half_integer
-from .regions import _along, _check_budget, _spherical_map
+from .regions import _along, _check_budget, _spherical_map, _trig
 
 __all__ = [
     "QuadratureSpec",
@@ -93,11 +93,12 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> tup
     axes = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
     axes += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
     rho, theta, *phis = [_along(q, k, n) for k, (q, _) in enumerate(axes)]
+    phis = [_trig(phi) for phi in phis]
     points = np.empty((m,) * n + (n,))
-    _spherical_map(rho, theta, phis, np.moveaxis(points, -1, 0))
+    _spherical_map(rho, _trig(theta), phis, np.moveaxis(points, -1, 0))
     jac = rho ** (n - 1)
-    for i, phi in enumerate(phis):
-        jac = jac * np.sin(phi) ** (n - 2 - i)
+    for i, (_, sin_phi) in enumerate(phis):
+        jac = jac * sin_phi ** (n - 2 - i)
     weights = _weight_product([w for _, w in axes]) * jac
     return points.reshape(-1, n), weights.reshape(-1)
 

@@ -17,9 +17,8 @@ reproducible.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_COLUMN_BUDGET = 10_000_000
+
+# columns per block of the loop that streams a sample (and of the limit quadrature's node loop)
+BLOCK_COLUMNS = 16_384
 
 
 class BudgetExceededError(ValueError):
@@ -127,46 +129,116 @@ class BallRegion:
         return int(np.prod([float(c) for c in self.counts]))
 
 
-@dataclass(frozen=True)
 class SampleMatrix:
-    """Direction matrix with per-column partition indices.
+    """Direction matrix with per-column cell indices, read in column blocks.
 
     ``directions`` is n x N; ``indices`` is N x n and holds the 1-based
-    multi-index of the cell each column samples. Both arrays are made
-    read-only on construction, so the radius and Gram spectrum, computed
-    once on first use and shared by the estimator and the bounds, cannot
-    go stale.
+    multi-index of the cell each column samples (``None`` for a plain array
+    wrapped by the estimator or the bounds). Both are read-only. A sample
+    built from arrays holds them as given; the grid builders return a lazy
+    sample that keeps its region and builds both arrays only on first
+    access (the directions bitwise equal to its column blocks side by side).
+
+    Every consumer walks the same blocks (``_blocks``): a block is a run of
+    whole slices of the slowest grid axis, as many as fit in
+    ``BLOCK_COLUMNS`` and at least one; a sample with no grid region is cut
+    every ``BLOCK_COLUMNS`` columns. The radius and the Gram spectrum are
+    summed over those blocks in one pass, computed once on first use and
+    shared by the estimator and the bounds, so they are bitwise the same
+    whether or not the arrays were ever built.
     """
 
-    directions: np.ndarray
-    tag: str
-    indices: np.ndarray
-    region: HyperrectRegion | BallRegion | None = field(repr=False, compare=False, default=None)
+    def __init__(
+        self,
+        directions: np.ndarray,
+        tag: str,
+        indices: np.ndarray | None,
+        region: HyperrectRegion | BallRegion | None = None,
+    ):
+        directions.flags.writeable = False
+        if indices is not None:
+            indices.flags.writeable = False
+        self.__dict__.update(directions=directions, indices=indices)
+        self._setup(tag, region, *directions.shape)
+        self._fill = None
 
-    def __post_init__(self):
-        self.directions.flags.writeable = False
-        self.indices.flags.writeable = False
+    @classmethod
+    def _lazy(cls, tag: str, region: HyperrectRegion | BallRegion, fill) -> SampleMatrix:
+        """Grid sample written slice by slice: ``fill(out, lo, hi)`` writes slowest-axis
+        slices ``lo..hi-1`` into ``out``, n x (hi - lo) x the other counts in column order."""
+        sample = cls.__new__(cls)
+        sample._setup(tag, region, region.dim, region.n_cells)
+        sample._fill = fill
+        return sample
+
+    def _setup(self, tag: str, region, dim: int, n_columns: int) -> None:
+        self.tag = tag
+        self.region = region
+        self.dim = dim
+        self.n_columns = n_columns
+        # slices of the slowest grid axis; without a matching grid region every column is one
+        if region is not None and region.n_cells == n_columns:
+            order = _column_order(region)
+            self._slices = region.counts[order[0]]
+            self._slice_shape = tuple(region.counts[a] for a in order[1:])
+        else:
+            self._slices, self._slice_shape = n_columns, ()
+        self._slice_columns = math.prod(self._slice_shape)
+
+    def _blocks(self):
+        """Yield ``(start, block)``: each column block's n x b directions and its first column."""
+        step = max(1, BLOCK_COLUMNS // self._slice_columns)
+        for lo in range(0, self._slices, step):
+            hi = min(lo + step, self._slices)
+            start = lo * self._slice_columns
+            if self._fill is None:
+                yield start, self.directions[:, start : hi * self._slice_columns]
+            else:
+                out = np.empty((self.dim, hi - lo) + self._slice_shape)
+                self._fill(out, lo, hi)
+                yield start, out.reshape(self.dim, -1)
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        # elementwise, so filling all slices at once gives the blocks' values bitwise
+        out = np.empty((self.dim, self._slices) + self._slice_shape)
+        self._fill(out, 0, self._slices)
+        out = out.reshape(self.dim, -1)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        idx = _grid_indices(self.region.counts, _column_order(self.region))
+        idx.flags.writeable = False
+        return idx
+
+    @cached_property
+    def _block_sums(self) -> tuple[float, np.ndarray]:
+        """Largest squared column norm and ``S S^T``, summed block by block in one pass."""
+        max_sq = 0.0
+        gram = np.zeros((self.dim, self.dim))
+        for _, block in self._blocks():
+            max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->j", block, block))))
+            gram += block @ block.T
+        return max_sq, gram
 
     @cached_property
     def radius(self) -> float:
         """Largest column norm."""
-        return _radius(self.directions)
+        if self.n_columns == 0:
+            raise ValueError("sample matrix is empty")
+        # sqrt(max sum of squares) rounds exactly like max(norm(axis=0)), without an n x N temporary
+        return float(np.sqrt(self._block_sums[0]))
 
     @cached_property
     def gram_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Gram matrix ``S S^T`` and its eigenvalues in ascending order (read-only)."""
-        gram, eigvals = _gram_spectrum(self.directions)
+        gram = self._block_sums[1]
+        eigvals = np.linalg.eigvalsh(gram)
         gram.flags.writeable = False
         eigvals.flags.writeable = False
         return gram, eigvals
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.directions.shape[1]
 
     def to_csv(self, out=None) -> str:
         """Serialize as CSV: n/N/tag header, then one row per column.
@@ -175,17 +247,17 @@ class SampleMatrix:
         direction components). Floats are written with round-trip
         precision; line endings are LF.
         """
-        buf = io.StringIO()
-        n, cols = self.directions.shape
-        buf.write("n,N,tag\n")
-        buf.write(f"{n},{cols},{self.tag}\n")
+        n, cols = self.dim, self.n_columns
         head = ",".join([f"i{k + 1}" for k in range(n)] + [f"s{k + 1}" for k in range(n)])
-        buf.write(f"col,{head}\n")
-        for j in range(cols):
-            idx = ",".join(str(int(v)) for v in self.indices[j])
-            comps = ",".join(repr(float(v)) for v in self.directions[:, j])
-            buf.write(f"{j + 1},{idx},{comps}\n")
-        text = buf.getvalue()
+        chunks = [f"n,N,tag\n{n},{cols},{self.tag}\ncol,{head}\n"]
+        # rows built column-wise, BLOCK_COLUMNS at a time: str of each int, repr (round trip) of each float
+        for lo in range(0, cols, BLOCK_COLUMNS):
+            hi = min(lo + BLOCK_COLUMNS, cols)
+            fields = [map(str, range(lo + 1, hi + 1))]
+            fields += [map(str, v) for v in self.indices[lo:hi].T.tolist()]
+            fields += [map(repr, v) for v in self.directions[:, lo:hi].tolist()]
+            chunks += ["\n".join(map(",".join, zip(*fields))), "\n"]
+        text = "".join(chunks)
         if out is not None:
             out.write(text)
         return text
@@ -220,17 +292,31 @@ def _grid_indices(counts: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray
 def _spherical_map(rho, theta, phis, out: np.ndarray) -> None:
     """Write the spherical map of (rho, theta, phis) into ``out[0..n-1]``.
 
+    ``theta`` and each of ``phis`` are (cos, sin) pairs of the angles, so a
+    caller computes each cos/sin once per axis value.
     ``out[k] = rho sin(phis[0])..sin(phis[k-1]) cos(phis[k])`` for the polar
-    angles, then the azimuthal cos/sin pair in the last two rows. The inputs broadcast
-    against ``out[k]``, so each cos/sin runs once per value given.
+    angles, then the azimuthal cos/sin pair in the last two rows. The inputs
+    broadcast against ``out[k]``.
     """
     n = len(phis) + 2
     running = rho
-    for k, phi in enumerate(phis):
-        out[k] = running * np.cos(phi)
-        running = running * np.sin(phi)
-    out[n - 2] = running * np.cos(theta)
-    out[n - 1] = running * np.sin(theta)
+    for k, (cos_phi, sin_phi) in enumerate(phis):
+        np.multiply(running, cos_phi, out=out[k])
+        running = running * sin_phi
+    np.multiply(running, theta[0], out=out[n - 2])
+    np.multiply(running, theta[1], out=out[n - 1])
+
+
+def _trig(angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.cos(angle), np.sin(angle)
+
+
+def _column_order(region: HyperrectRegion | BallRegion) -> tuple[int, ...]:
+    """Region axes from slowest to fastest varying down the columns of its grid sample."""
+    n = region.dim
+    if isinstance(region, HyperrectRegion):
+        return tuple(range(1, n)) + (0,)  # z_2 slowest, ..., z_n, then j fastest
+    return tuple(range(n))
 
 
 def rect_grid_sample(region: HyperrectRegion) -> SampleMatrix:
@@ -238,20 +324,22 @@ def rect_grid_sample(region: HyperrectRegion) -> SampleMatrix:
 
     The column for multi-index (j, z_2..z_n) is
     ``(j h_1, z_2 h_2, ..., z_n h_n)`` with h the cell side lengths; the
-    matrix has full row rank for all counts >= 2. Raises
-    ``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET`` columns.
+    matrix has full row rank for all counts >= 2. Columns run with j
+    fastest, then z_n, ..., z_2 slowest. The sample is lazy: see
+    ``SampleMatrix``. Raises ``BudgetExceededError`` above
+    ``DEFAULT_COLUMN_BUDGET`` columns.
     """
     _check_budget(region.n_cells)
     n = region.dim
-    # columns run with j (axis 1) fastest, then z_n, ..., z_2 slowest
-    order = tuple(range(1, n)) + (0,)
-    shape = tuple(region.counts[a] for a in order)
-    directions = np.empty((n, region.n_cells))
-    grid = directions.reshape((n,) + shape)
-    for a, (c, h) in enumerate(zip(region.counts, region.sublengths)):
-        grid[a] = _along(np.arange(1, c + 1) * h, order.index(a), n)
-    idx = _grid_indices(region.counts, order)
-    return SampleMatrix(directions, "rect-grid", idx, region)
+    order = _column_order(region)
+    steps = zip(region.counts, region.sublengths)
+    axes = [_along(np.arange(1, c + 1) * h, order.index(a), n) for a, (c, h) in enumerate(steps)]
+
+    def fill(out, lo, hi):
+        for a, v in enumerate(axes):
+            out[a] = v[lo:hi] if a == order[0] else v
+
+    return SampleMatrix._lazy("rect-grid", region, fill)
 
 
 def rect_arbitrary_sample(region: HyperrectRegion, offsets=None, seed=None) -> SampleMatrix:
@@ -294,20 +382,22 @@ def ball_grid_sample(region: BallRegion) -> SampleMatrix:
     so the columns differing only in later indices agree to ~1e-16 r (not
     bitwise). In 3-d that gives N_1 (N_2 - 1) repeats, e.g. 27 distinct
     columns of 36 at counts (3, 4, 3). They are kept because the paper's
-    construction has them; they count in N. Raises ``BudgetExceededError``
-    above ``DEFAULT_COLUMN_BUDGET`` columns.
+    construction has them; they count in N. Columns run with y_n fastest
+    and y_1 slowest. The sample is lazy: see ``SampleMatrix``. Raises
+    ``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET`` columns.
     """
     _check_budget(region.n_cells)
     n = region.dim
     counts = region.counts
     y = [np.arange(1, c + 1) for c in counts]
     rho = _along(region.r * y[0] / counts[0], 0, n)
-    theta = _along(2.0 * math.pi * y[1] / counts[1], 1, n)
-    phis = [_along(math.pi * y[k] / counts[k], k, n) for k in range(2, n)]
-    directions = np.empty((n, region.n_cells))
-    _spherical_map(rho, theta, phis, directions.reshape((n,) + counts))
-    idx = _grid_indices(counts, tuple(range(n)))
-    return SampleMatrix(directions, "ball-grid", idx, region)
+    theta = _trig(_along(2.0 * math.pi * y[1] / counts[1], 1, n))
+    phis = [_trig(_along(math.pi * y[k] / counts[k], k, n)) for k in range(2, n)]
+
+    def fill(out, lo, hi):
+        _spherical_map(rho[lo:hi], theta, phis, out)
+
+    return SampleMatrix._lazy("ball-grid", region, fill)
 
 
 def grid_jacobian(region: BallRegion, y) -> float:
@@ -329,30 +419,15 @@ def grid_jacobian(region: BallRegion, y) -> float:
     return float(value)
 
 
-def _radius(directions: np.ndarray) -> float:
-    if directions.size == 0:
-        raise ValueError("sample matrix is empty")
-    # sqrt(max sum of squares) rounds exactly like max(norm(axis=0)), without an n x N temporary
-    return float(np.sqrt(np.max(np.einsum("ij,ij->j", directions, directions))))
-
-
-def _directions(sample) -> np.ndarray:
-    """The n x N direction array of a ``SampleMatrix`` or of a plain array."""
+def _as_sample(sample) -> SampleMatrix:
+    """``sample`` itself, or a plain n x N array wrapped as a sample with no grid region."""
     if isinstance(sample, SampleMatrix):
-        return sample.directions
+        return sample
     arr = np.asarray(sample, dtype=float)
     if arr.ndim != 2:
         raise ValueError("sample must be a SampleMatrix or an n x N array")
-    return arr
-
-
-def _gram_spectrum(sample) -> tuple[np.ndarray, np.ndarray]:
-    """``S S^T`` and its ascending eigenvalues; the cached pair for a ``SampleMatrix``."""
-    if isinstance(sample, SampleMatrix):
-        return sample.gram_spectrum
-    s = _directions(sample)
-    gram = s @ s.T
-    return gram, np.linalg.eigvalsh(gram)
+    # a view, so that making it read-only leaves the caller's array writeable
+    return SampleMatrix(arr.view(), "array", None)
 
 
 def sample_radius(sample) -> float:
@@ -360,6 +435,4 @@ def sample_radius(sample) -> float:
 
     For a ``SampleMatrix`` this is its cached ``radius``.
     """
-    if isinstance(sample, SampleMatrix):
-        return sample.radius
-    return _radius(np.asarray(sample, dtype=float))
+    return _as_sample(sample).radius

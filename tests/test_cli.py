@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from simplexgrad import experiments
 from simplexgrad.cli import _parse_schedule, main
 from simplexgrad.experiments import ExperimentConfig, convergence
 
@@ -165,6 +166,24 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == "error: x0 must have 2 entries for field cubic2, got 3\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--region", "rect", "--schedule", "4,1"], "error: rect subdivision counts must be >= 2, got (1, 1)\n"),
+            (["--region", "ball", "--schedule", "2"], "error: ball subdivision counts must be >= 3, got (2, 2)\n"),
+        ],
+        ids=["rect", "ball"],
+    )
+    def test_bad_schedule_counts_are_rejected_before_the_limit_runs(self, args, message, capsys, monkeypatch):
+        def no_limit(*args, **kwargs):
+            raise AssertionError("the limit quadrature ran")
+
+        monkeypatch.setattr(experiments, "limit_gradient_box", no_limit)
+        monkeypatch.setattr(experiments, "limit_gradient_ball", no_limit)
+        code = main(["convergence", "--field", "quad2", *args, "--nodes", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == message
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_evaluation_failure_is_one_line_error(self, capsys):
         code = main(["convergence", "--field", "cubic2", "--region", "rect", "--x0", "1e300,1e300",
@@ -172,7 +191,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 3
         assert [line for line in err.splitlines() if line.startswith("error: ")] == [
-            "error: field evaluation failed at column -1 (point [1.e+300 1.e+300]): non-finite value inf"
+            "error: field evaluation failed at node -1 (point [1.e+300 1.e+300]): non-finite value inf"
         ]
         assert "Traceback" not in err
 

@@ -144,3 +144,16 @@ class TestConvergence:
             ExperimentConfig(field_id="nope", region="rect", schedule=((4, 4),))
         with pytest.raises(ValueError):
             ExperimentConfig(field_id="quad2", region="ball", schedule=((4, 4),), sample="arbitrary")
+
+    @pytest.mark.parametrize(
+        "region, schedule, message",
+        [
+            ("rect", ((4, 4), (4, 4, 4)), r"schedule rows must have 2 counts for field quad2, got \(4, 4, 4\)"),
+            ("rect", ((4, 1),), r"rect subdivision counts must be >= 2, got \(4, 1\)"),
+            ("ball", ((2, 4),), r"ball subdivision counts must be >= 3, got \(2, 4\)"),
+        ],
+        ids=["row-length", "rect-count", "ball-count"],
+    )
+    def test_schedule_rows_are_checked_at_construction(self, region, schedule, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(field_id="quad2", region=region, schedule=schedule)

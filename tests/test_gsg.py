@@ -101,20 +101,25 @@ def _scalar_outside(p):
 
 @pytest.mark.parametrize("fn", [_vectorized_outside, _scalar_outside], ids=["vectorized", "scalar"])
 @pytest.mark.parametrize(
-    "evaluate, points",
+    "evaluate, points, unit",
     [
         # x0 = (-11, 0) puts the first coordinates of the columns at -7, -3, 1, ...
-        (lambda field: function_increments(field, (-11.0, 0.0), SQUARE_SAMPLE), SQUARE_SAMPLE.directions.T - 11.0),
+        (
+            lambda field: function_increments(field, (-11.0, 0.0), SQUARE_SAMPLE),
+            SQUARE_SAMPLE.directions.T - 11.0,
+            "column",
+        ),
         (
             lambda field: limit_gradient_box(field, (0.0, 0.0), (1.0, 1.0), QuadratureSpec(8)),
             box_nodes((1.0, 1.0), QuadratureSpec(8))[0],
+            "node",
         ),
     ],
     ids=["function_increments", "limit_gradient_box"],
 )
-def test_evaluation_error_keeps_the_field_message(fn, evaluate, points):
+def test_evaluation_error_keeps_the_field_message(fn, evaluate, points, unit):
     first = int(np.argmax(points[:, 0] > 0.5))
-    with pytest.raises(EvaluationError, match=rf"column {first} .*outside the domain"):
+    with pytest.raises(EvaluationError, match=rf"{unit} {first} .*outside the domain"):
         evaluate(ScalarField(dim=2, fn=fn))
 
 

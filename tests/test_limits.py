@@ -207,7 +207,7 @@ def test_raising_vectorized_field_names_first_failing_node():
     spec = QuadratureSpec(8)
     points, _ = box_nodes((1.0, 1.0), spec)
     first = int(np.argmax(points[:, 0] > 0.5))
-    with pytest.raises(EvaluationError, match=rf"column {first} "):
+    with pytest.raises(EvaluationError, match=rf"node {first} "):
         limit_gradient_box(ScalarField(dim=2, fn=fn), (0.0, 0.0), (1.0, 1.0), spec)
 
 
