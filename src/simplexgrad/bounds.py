@@ -52,17 +52,23 @@ _GRAM_ROUTE_MIN_RATIO = 1e-6
 
 
 def _min_max_singular(sample, delta: float) -> tuple[float, float]:
-    """Smallest and largest singular values of ``S / delta``.
+    """Smallest and largest of the n singular values of ``S / delta``.
 
     Read from the sample's shared Gram spectrum when S is well
-    conditioned, else from an SVD of the full direction array.
+    conditioned, else from an SVD of the full direction array. A sample
+    with fewer columns than rows has sigma_min = 0, which the SVD, giving
+    only min(n, N) values, does not return. Raises ``ValueError`` for an
+    empty sample.
     """
+    if sample.n_columns == 0:
+        raise ValueError("sample matrix is empty")
     _, eigvals = sample.gram_spectrum
     lo, hi = float(eigvals[0]), float(eigvals[-1])
     if hi > 0 and lo >= _GRAM_ROUTE_MIN_RATIO * hi:
         return math.sqrt(lo) / delta, math.sqrt(hi) / delta
     sv = np.linalg.svd(sample.directions / delta, compute_uv=False)
-    return float(sv[-1]), float(sv[0])
+    smin = float(sv[-1]) if sample.n_columns >= sample.dim else 0.0
+    return smin, float(sv[0])
 
 
 def classical_bound(sample, grad_lipschitz: float) -> BoundReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .regions import (
     BallRegion,
     HyperrectRegion,
     SampleMatrix,
+    _check_budget,
     ball_grid_sample,
     rect_arbitrary_sample,
     rect_grid_sample,
@@ -185,7 +187,10 @@ class ExperimentConfig:
 
     ``x0=None`` means the field's anchor and ``sides=None`` the unit box in
     the field's dimension; both are resolved, as tuples of floats, on
-    construction.
+    construction. Every schedule row's length and counts, its column count
+    and the limit quadrature's ``nodes ** dim`` are checked on construction
+    too (``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET``), before
+    the limit quadrature or any row runs.
     """
 
     field_id: str
@@ -231,6 +236,8 @@ class ExperimentConfig:
                 raise ValueError(f"schedule rows must have {dim} counts for field {self.field_id}, got {tuple(counts)}")
             if min(counts) < least:
                 raise ValueError(f"{self.region} subdivision counts must be >= {least}, got {tuple(counts)}")
+            _check_budget(math.prod(counts))
+        _check_budget(self.nodes**dim, "quadrature nodes")
 
 
 @dataclass(frozen=True)
@@ -288,24 +295,49 @@ class ConvergenceResult:
         return buf.getvalue()
 
 
-def antipodal_half(sample: SampleMatrix) -> np.ndarray:
-    """Half matrix A with the full planar ball grid equal to [A, -A] up to order.
+class _AntipodalHalf(SampleMatrix):
+    """The half A of a 2-d ball grid S = [A, -A]: see ``antipodal_half``."""
+
+    def __init__(self, full: SampleMatrix):
+        n1, n2 = full.region.counts
+        self._full = full
+        self._setup("ball-half", None, 2, n1 * (n2 // 2))
+        self._fill = None
+        max_sq, gram = full._block_sums
+        # S S^T = 2 A A^T, and every column norm of S is one of A's
+        self.__dict__.update(indices=None, _block_sums=(max_sq, gram / 2.0))
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        n1, n2 = self._full.region.counts
+        half = np.empty((2, n1, n2 // 2))
+        for start, block in self._full._blocks():
+            rows = block.reshape(2, -1, n2)
+            half[:, start // n2 : start // n2 + rows.shape[1]] = rows[:, :, : n2 // 2]
+        half = half.reshape(2, -1)
+        half.flags.writeable = False
+        return half
+
+
+def antipodal_half(sample: SampleMatrix) -> SampleMatrix:
+    """Half sample A with the full planar ball grid S equal to [A, -A] up to order.
 
     Requires a 2-d ball grid with an even azimuthal count: the column at
     azimuthal index y2 + N2/2 is the negation of the one at y2. A is the
-    columns with y2 <= N2/2, cut from each column block seen as
-    (2, radial slices, N2), so the full direction array is never formed.
+    columns with y2 <= N2/2, a lazy n x N/2 sample tagged ``ball-half``
+    with no cell indices. Its radius and Gram are S's, the Gram halved:
+    S S^T = 2 A A^T holds for S = [A, -A], so A's Gram spectrum costs one
+    2 x 2 eigendecomposition and no pass over the columns once S's sums
+    are cached (reading them here walks S if nothing has yet). Its
+    ``directions`` are cut from S's column blocks, each seen as
+    (2, radial slices, N2), only when something reads them (the SVD
+    fallback of ``centered_bound``).
     """
     if sample.tag != "ball-grid" or sample.dim != 2:
         raise ValueError("mirrored structure is only extracted from 2-d ball grids")
-    n1, n2 = sample.region.counts
-    if n2 % 2 != 0:
+    if sample.region.counts[1] % 2 != 0:
         raise ValueError("azimuthal count must be even for the mirrored split")
-    half = np.empty((2, n1, n2 // 2))
-    for start, block in sample._blocks():
-        rows = block.reshape(2, -1, n2)
-        half[:, start // n2 : start // n2 + rows.shape[1]] = rows[:, :, : n2 // 2]
-    return half.reshape(2, -1)
+    return _AntipodalHalf(sample)
 
 
 def convergence(config: ExperimentConfig) -> ConvergenceResult:
@@ -338,17 +370,18 @@ def convergence(config: ExperimentConfig) -> ConvergenceResult:
             else:
                 # one deterministic offset stream per schedule row
                 sample = rect_arbitrary_sample(region, seed=[config.seed, i])
-            centered = None
+            mirrored = False
         else:
             region = BallRegion(x0=tuple(x0), r=config.radius, counts=counts)
             sample = ball_grid_sample(region)
-            if sample.dim == 2 and counts[1] % 2 == 0:
-                half = antipodal_half(sample)
-                centered = centered_bound(half, hess_lip, radius=sample_radius(sample)).value
-            else:
-                centered = None
+            mirrored = sample.dim == 2 and counts[1] % 2 == 0
+        # the estimate walks the sample once; the bounds then read its cached sums
         est = simplex_gradient(field, x0, sample)
         classical = classical_bound(sample, grad_lip)
+        centered = None
+        if mirrored:
+            half = antipodal_half(sample)
+            centered = centered_bound(half, hess_lip, radius=sample_radius(sample)).value
         rows.append(
             ConvergenceRow(
                 index=i,

@@ -180,9 +180,9 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
         yield start, offsets, increments
 
 
-def _column_offsets(sample):
-    """``(start, offsets)`` per column block of a sample: the block's directions as rows."""
-    for start, block in sample._blocks():
+def _column_offsets(blocks):
+    """``(start, offsets)`` per ``(start, block)`` of a sample's blocks: the block's directions as rows."""
+    for start, block in blocks:
         yield start, block.T
 
 
@@ -197,7 +197,7 @@ def function_increments(field: ScalarField, x0, sample) -> np.ndarray:
     if x0.size != sample.dim:
         raise ValueError("x0 dimension does not match the sample matrix")
     df = np.empty(sample.n_columns)
-    for start, _, increments in _increments(field, x0, _column_offsets(sample)):
+    for start, _, increments in _increments(field, x0, _column_offsets(sample._blocks())):
         df[start : start + increments.size] = increments
     return df
 
@@ -205,29 +205,35 @@ def function_increments(field: ScalarField, x0, sample) -> np.ndarray:
 def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
     """Least-squares gradient estimate of ``field`` at ``x0`` over ``sample``.
 
-    Solves the normal equations when the sample has more columns than rows
-    and full row rank; otherwise falls back to the SVD pseudoinverse. Both
-    routes agree (to roundoff) whenever S has full row rank. The Gram
-    matrix and its eigenvalues are the sample's shared ``gram_spectrum``;
-    on the normal-equations route ``S df`` is summed block by block, so no
-    n x N array is formed.
+    Solves the normal equations when the sample has at least as many
+    columns as rows and a numerically nonsingular Gram; otherwise falls
+    back to the SVD pseudoinverse. Both routes agree (to roundoff) whenever
+    S has full row rank. ``S df`` is summed block by block on the sample's
+    one walk (``SampleMatrix._walk``), which also sums and caches the
+    radius and ``S S^T`` unless a bound or the radius already did, so a
+    fresh sample is read once and no n x N array is formed. The route is
+    picked after that walk, from the sample's shared ``gram_spectrum``; a
+    sample whose Gram turns out singular takes the SVD route, which forms
+    the direction array and evaluates the field a second time.
     """
     sample = _as_sample(sample)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != sample.dim:
         raise ValueError("x0 dimension does not match the sample matrix")
     n, cols = sample.dim, sample.n_columns
+    s_df = None
+    if cols >= n:
+        s_df = np.zeros(n)
+        for _, offsets, increments in _increments(field, x0, _column_offsets(sample._walk())):
+            s_df += offsets.T @ increments
     gram, eigvals = sample.gram_spectrum
     cond = math.sqrt(eigvals[-1] / eigvals[0]) if eigvals[0] > 0 else math.inf
     cutoff = (max(n, cols) * np.finfo(float).eps) ** 2 * max(eigvals[-1], 0.0)
-    if cols >= n and eigvals[0] > cutoff:
-        s_df = np.zeros(n)
-        for _, offsets, increments in _increments(field, x0, _column_offsets(sample)):
-            s_df += offsets.T @ increments
+    if s_df is not None and eigvals[0] > cutoff:
         estimate = np.linalg.solve(gram.T, s_df)
         route = "normal-equations"
     else:
-        # rank-deficient or wide-but-singular sample: SVD pseudoinverse route
+        # fewer columns than rows or a singular Gram: SVD pseudoinverse route, evaluating again
         estimate = pseudoinverse(sample.directions).T @ function_increments(field, x0, sample)
         route = "svd"
     true_grad = None

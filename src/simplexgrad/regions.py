@@ -134,7 +134,8 @@ class SampleMatrix:
 
     ``directions`` is n x N; ``indices`` is N x n and holds the 1-based
     multi-index of the cell each column samples (``None`` for a plain array
-    wrapped by the estimator or the bounds). Both are read-only. A sample
+    wrapped by the estimator or the bounds, and for the half sample of
+    ``experiments.antipodal_half``). Both are read-only. A sample
     built from arrays holds them as given; the grid builders return a lazy
     sample that keeps its region and builds both arrays only on first
     access (the directions bitwise equal to its column blocks side by side).
@@ -142,10 +143,15 @@ class SampleMatrix:
     Every consumer walks the same blocks (``_blocks``): a block is a run of
     whole slices of the slowest grid axis, as many as fit in
     ``BLOCK_COLUMNS`` and at least one; a sample with no grid region is cut
-    every ``BLOCK_COLUMNS`` columns. The radius and the Gram spectrum are
-    summed over those blocks in one pass, computed once on first use and
-    shared by the estimator and the bounds, so they are bitwise the same
-    whether or not the arrays were ever built.
+    every ``BLOCK_COLUMNS`` columns. One walk (``_walk``) sums the largest
+    squared column norm and ``S S^T`` while it yields each block and caches
+    both when it ends; the radius and the Gram spectrum are read from that
+    cache and shared by the estimator and the bounds. The estimator sums
+    ``S df`` on the same walk, so a fresh sample is read once; a bound or
+    ``radius`` read first runs the walk alone. Each block's sums are the
+    same operations in the same order either way, so the radius, the Gram
+    and the estimate are bitwise the same whichever consumer walks first,
+    and whether or not the arrays were ever built.
     """
 
     def __init__(
@@ -213,15 +219,29 @@ class SampleMatrix:
         idx.flags.writeable = False
         return idx
 
-    @cached_property
-    def _block_sums(self) -> tuple[float, np.ndarray]:
-        """Largest squared column norm and ``S S^T``, summed block by block in one pass."""
+    def _walk(self):
+        """Yield ``_blocks()`` while summing the largest squared column norm and ``S S^T``.
+
+        The sums are cached as ``_block_sums`` when the walk ends; once they
+        are, a walk only yields the blocks.
+        """
+        if "_block_sums" in vars(self):
+            yield from self._blocks()
+            return
         max_sq = 0.0
         gram = np.zeros((self.dim, self.dim))
-        for _, block in self._blocks():
+        for start, block in self._blocks():
             max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->j", block, block))))
             gram += block @ block.T
-        return max_sq, gram
+            yield start, block
+        self.__dict__["_block_sums"] = max_sq, gram
+
+    @cached_property
+    def _block_sums(self) -> tuple[float, np.ndarray]:
+        """Largest squared column norm and ``S S^T``: a walk run to its end."""
+        for _ in self._walk():
+            pass
+        return self.__dict__["_block_sums"]
 
     @cached_property
     def radius(self) -> float:

@@ -14,7 +14,7 @@ from simplexgrad.bounds import (
 )
 from simplexgrad.experiments import antipodal_half
 from simplexgrad.fields import get_field
-from simplexgrad.gsg import simplex_gradient
+from simplexgrad.gsg import ScalarField, simplex_gradient
 from simplexgrad.limits import limit_gradient_ball
 from simplexgrad.linalg import pseudoinverse, spectral_norm
 from simplexgrad.quadrature import QuadratureSpec
@@ -103,6 +103,34 @@ class TestCenteredBound:
         with pytest.raises(RankDeficiencyError):
             centered_bound(np.array([[1.0, 2.0], [2.0, 4.0]]), 1.0)
 
+    @pytest.mark.parametrize("radius", [None, 1.0])
+    def test_empty_half_rejected(self, radius):
+        with pytest.raises(ValueError, match="sample matrix is empty"):
+            centered_bound(np.zeros((2, 0)), 1.0, radius=radius)
+
+
+class TestFewerColumnsThanRows:
+    """The SVD of an n x N sample with N < n has only N singular values; the missing one is 0."""
+
+    def test_classical_bound_rejects_a_single_column(self):
+        s = np.array([[1.0], [0.0]])
+        with pytest.raises(RankDeficiencyError):
+            classical_bound(s, 1.0)
+        # why: f = 5 x_2 has L = 0, yet the estimate from this sample misses its whole gradient
+        field = ScalarField(2, lambda x: 5.0 * x[:, 1], grad=lambda x: np.array([0.0, 5.0]))
+        assert simplex_gradient(field, (0.0, 0.0), s).error == 5.0
+
+    def test_centered_bound_rejects_a_single_column(self):
+        with pytest.raises(RankDeficiencyError):
+            centered_bound(np.array([[1.0], [0.5]]), 1.0)
+
+    def test_sample_matrix_with_fewer_columns_rejected(self):
+        sample = SampleMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), "wide", None)
+        with pytest.raises(RankDeficiencyError):
+            classical_bound(sample, 1.0)
+        with pytest.raises(RankDeficiencyError):
+            centered_bound(sample, 1.0)
+
 
 def svd_classical_value(s: np.ndarray, lip: float) -> float:
     """The classical bound from an SVD of S / Delta, as computed before the Gram route."""
@@ -143,12 +171,16 @@ class TestSpectralRoute:
         assert centered_bound(half, 0.8, radius=delta).value == pytest.approx(want, rel=1e-12)
         assert centered_bound(sample, 0.8, radius=delta).value == pytest.approx(want, rel=1e-12)
 
-    def test_mirrored_ball_half_matches_svd(self):
-        sample = ball_grid_sample(BallRegion((0.0, 0.0), 1.0, (12, 32)))
+    @pytest.mark.parametrize("n2", [4, 6, 10, 16, 32, 50, 64])
+    def test_mirrored_ball_half_matches_svd(self, n2):
+        sample = ball_grid_sample(BallRegion((0.3, -0.2), 2.5, (12, n2)))
         half = antipodal_half(sample)
         delta = sample_radius(sample)
-        want = svd_centered_value(half, 6.0, delta)
-        assert centered_bound(half, 6.0, radius=delta).value == pytest.approx(want, rel=1e-12)
+        # the halved Gram of S: no pass over the half's columns and no half array
+        value = centered_bound(half, 6.0, radius=delta).value
+        assert "directions" not in vars(half)
+        want = svd_centered_value(half.directions, 6.0, delta)
+        assert value == pytest.approx(want, rel=1e-12)
 
     def test_thin_box_falls_back_to_svd_exactly(self):
         sample = rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 1e-8), (8, 8)))

@@ -171,8 +171,14 @@ class TestCli:
         [
             (["--region", "rect", "--schedule", "4,1"], "error: rect subdivision counts must be >= 2, got (1, 1)\n"),
             (["--region", "ball", "--schedule", "2"], "error: ball subdivision counts must be >= 3, got (2, 2)\n"),
+            # the rows up to 2^11 are under the 10M column budget, 4096^2 is not
+            (["--region", "rect", "--schedule", "2^8..2^12"],
+             "error: grid would need 16777216 columns; budget is 10000000\n"),
+            (["--region", "ball", "--schedule", "4096"], "error: grid would need 16777216 columns; budget is 10000000\n"),
+            (["--region", "rect", "--schedule", "4", "--nodes", "3163"],
+             "error: grid would need 10004569 quadrature nodes; budget is 10000000\n"),
         ],
-        ids=["rect", "ball"],
+        ids=["rect", "ball", "rect-budget", "ball-budget", "node-budget"],
     )
     def test_bad_schedule_counts_are_rejected_before_the_limit_runs(self, args, message, capsys, monkeypatch):
         def no_limit(*args, **kwargs):
@@ -180,7 +186,7 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "limit_gradient_box", no_limit)
         monkeypatch.setattr(experiments, "limit_gradient_ball", no_limit)
-        code = main(["convergence", "--field", "quad2", *args, "--nodes", "8"])
+        code = main(["convergence", "--field", "quad2", "--nodes", "8", *args])
         assert code == 2
         assert capsys.readouterr().err == message
 

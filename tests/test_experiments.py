@@ -10,7 +10,7 @@ from simplexgrad.experiments import (
     convergence,
     reproduce,
 )
-from simplexgrad.regions import BallRegion, ball_grid_sample
+from simplexgrad.regions import BallRegion, ball_grid_sample, sample_radius
 
 
 class TestReproduce:
@@ -42,12 +42,29 @@ class TestReproduce:
 class TestAntipodalHalf:
     def test_half_columns_negate_to_full_sample(self):
         sample = ball_grid_sample(BallRegion((0.0, 0.0), 1.0, (3, 8)))
-        half = antipodal_half(sample)
+        half = antipodal_half(sample).directions
         assert half.shape == (2, sample.n_columns // 2)
         full = np.hstack([half, -half])
         got = sorted(map(tuple, np.round(full.T, 9).tolist()))
         want = sorted(map(tuple, np.round(sample.directions.T, 9).tolist()))
         assert got == want
+
+    @pytest.mark.parametrize("n2", [4, 6, 10, 16, 32, 50, 64])
+    def test_half_is_a_lazy_sample_of_the_first_half_turn(self, n2):
+        full = ball_grid_sample(BallRegion((0.3, -0.2), 2.5, (7, n2)))
+        half = antipodal_half(full)
+        assert (half.tag, half.dim, half.n_columns, half.indices) == ("ball-half", 2, 7 * n2 // 2, None)
+        assert "directions" not in vars(half) and "directions" not in vars(full)
+        # the columns with y2 <= N2/2, bitwise, whether or not S's arrays were built first
+        want = np.array(full.directions).reshape(2, 7, n2)[:, :, : n2 // 2].reshape(2, -1)
+        assert np.array_equal(half.directions, want)
+        assert np.array_equal(antipodal_half(full).directions, want)
+        assert not half.directions.flags.writeable
+        # S S^T = 2 A A^T: the half's Gram is S's halved, and its radius is S's
+        assert np.array_equal(half.gram_spectrum[0], full.gram_spectrum[0] / 2.0)
+        direct = want @ want.T
+        assert np.allclose(half.gram_spectrum[0], direct, rtol=0.0, atol=1e-12 * np.abs(direct).max())
+        assert sample_radius(half) == sample_radius(full)
 
     def test_odd_azimuthal_count_rejected(self):
         sample = ball_grid_sample(BallRegion((0.0, 0.0), 1.0, (3, 5)))

@@ -43,17 +43,25 @@ GRIDS = [
 ]
 
 
-def _everything(sample, field, x0) -> dict:
-    """Every quantity the convergence loop reads from a sample (radius and Gram first)."""
-    out = {"radius": sample_radius(sample), "gram": sample.gram_spectrum[0], "eigvals": sample.gram_spectrum[1]}
-    est = simplex_gradient(field, x0, sample)
-    out["estimate"] = est.estimate
+def _everything(sample, field, x0, estimate_first: bool = False) -> dict:
+    """Every quantity the convergence loop reads from a sample.
+
+    The radius and Gram are read first (their own walk, then the estimate's
+    walk over the cached sums) or, with ``estimate_first``, the estimate's
+    walk sums them.
+    """
+    out = {}
+    if estimate_first:
+        out["estimate"] = simplex_gradient(field, x0, sample).estimate
+    out |= {"radius": sample_radius(sample), "gram": sample.gram_spectrum[0], "eigvals": sample.gram_spectrum[1]}
+    if not estimate_first:
+        out["estimate"] = simplex_gradient(field, x0, sample).estimate
     out["classical"] = classical_bound(sample, 2.0).value
     out["centered"] = centered_bound(sample, 3.0, radius=out["radius"]).value
     if isinstance(sample.region, BallRegion) and sample.dim == 2:
         half = antipodal_half(sample)
-        out["half"] = half
         out["half_centered"] = centered_bound(half, 3.0, radius=out["radius"]).value
+        out["half"] = half.directions
     return out
 
 
@@ -68,9 +76,14 @@ def test_lazy_and_materialized_samples_agree_bitwise(build, region, block_column
     assert "directions" not in vars(lazy) and "indices" not in vars(lazy)
     touched = build(region)
     directions, indices = touched.directions, touched.indices
-    arrays = SampleMatrix(np.array(directions), touched.tag, np.array(indices), region)
-    for other in (touched, arrays):
-        want = _everything(other, field, x0)
+
+    def from_arrays():
+        return SampleMatrix(np.array(directions), touched.tag, np.array(indices), region)
+
+    # (sample, estimate_first): the estimate's walk summing the radius and Gram must change no bit
+    others = [(touched, False), (from_arrays(), False), (build(region), True), (from_arrays(), True)]
+    for other, estimate_first in others:
+        want = _everything(other, field, x0, estimate_first)
         assert want.keys() == got.keys()
         for key, value in got.items():
             assert np.array_equal(value, want[key]), key
@@ -180,6 +193,36 @@ def test_thin_box_accuracy_is_pinned():
     assert simplex_gradient(entry.field, x0, sample).error < 3e-8
 
 
+# (6, 10) at 20 columns a block: rect blocks are 3 z2-slices of 6 columns, ball blocks 2 shells of 10
+@pytest.mark.parametrize(
+    "region, blocks",
+    [("rect", [(0, 3), (3, 6), (6, 9), (9, 10)]), ("ball", [(0, 2), (2, 4), (4, 6)])],
+    ids=["rect", "ball"],
+)
+def test_a_row_fills_each_block_once_and_evaluates_n_plus_one_points(region, blocks, monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 20)
+    fills, points = [], []
+    lazy, call = SampleMatrix._lazy.__func__, ScalarField.__call__
+
+    def counting_lazy(cls, tag, grid, fill):
+        def counted(out, lo, hi):
+            fills.append((lo, hi))
+            fill(out, lo, hi)
+
+        return lazy(cls, tag, grid, counted)
+
+    def counting_call(self, p):
+        points.append(len(np.atleast_2d(p)))
+        return call(self, p)
+
+    monkeypatch.setattr(SampleMatrix, "_lazy", classmethod(counting_lazy))
+    monkeypatch.setattr(ScalarField, "__call__", counting_call)
+    result = convergence(ExperimentConfig(field_id="cubic2", region=region, schedule=((6, 10),), nodes=8))
+    assert fills == blocks
+    assert sum(points) == (60 + 1) + (8**2 + 1)  # the row's N + 1 points and the limit's nodes + 1
+    assert (result.rows[0].centered_bound is None) == (region == "rect")
+
+
 @pytest.mark.parametrize("region", ["rect", "ball"])
 def test_one_row_at_1024_squared_stays_small(region):
     config = ExperimentConfig(field_id="cubic2", region=region, schedule=((1024, 1024),))
@@ -189,5 +232,6 @@ def test_one_row_at_1024_squared_stays_small(region):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the materialized directions, indices and shifted points took 64.7 MB (rect) and 72.0 MB (ball)
-    assert peak < 16 * 2**20
+    # the materialized directions, indices and shifted points took 64.7 MB (rect) and 72.0 MB (ball);
+    # the materialized half sample of the ball row took 8 MB of a 9.4 MB peak
+    assert peak < 4 * 2**20
