@@ -305,7 +305,7 @@ class _AntipodalHalf(SampleMatrix):
         self._fill = None
         max_sq, gram = full._block_sums
         # S S^T = 2 A A^T, and every column norm of S is one of A's
-        self.__dict__.update(indices=None, _block_sums=(max_sq, gram / 2.0))
+        self.__dict__["_block_sums"] = max_sq, gram / 2.0
 
     @cached_property
     def directions(self) -> np.ndarray:
@@ -318,6 +318,13 @@ class _AntipodalHalf(SampleMatrix):
         half.flags.writeable = False
         return half
 
+    @cached_property
+    def indices(self) -> np.ndarray:
+        n1, n2 = self._full.region.counts
+        idx = self._full.indices.reshape(n1, n2, 2)[:, : n2 // 2].reshape(-1, 2)
+        idx.flags.writeable = False
+        return idx
+
 
 def antipodal_half(sample: SampleMatrix) -> SampleMatrix:
     """Half sample A with the full planar ball grid S equal to [A, -A] up to order.
@@ -325,13 +332,13 @@ def antipodal_half(sample: SampleMatrix) -> SampleMatrix:
     Requires a 2-d ball grid with an even azimuthal count: the column at
     azimuthal index y2 + N2/2 is the negation of the one at y2. A is the
     columns with y2 <= N2/2, a lazy n x N/2 sample tagged ``ball-half``
-    with no cell indices. Its radius and Gram are S's, the Gram halved:
-    S S^T = 2 A A^T holds for S = [A, -A], so A's Gram spectrum costs one
-    2 x 2 eigendecomposition and no pass over the columns once S's sums
-    are cached (reading them here walks S if nothing has yet). Its
-    ``directions`` are cut from S's column blocks, each seen as
-    (2, radial slices, N2), only when something reads them (the SVD
-    fallback of ``centered_bound``).
+    whose cell indices are those of its columns in S. Its radius and Gram
+    are S's, the Gram halved: S S^T = 2 A A^T holds for S = [A, -A], so
+    A's Gram spectrum costs one 2 x 2 eigendecomposition and no pass over
+    the columns once S's sums are cached (reading them here walks S if
+    nothing has yet). Its ``directions`` are cut from S's column blocks,
+    each seen as (2, radial slices, N2), only when something reads them
+    (the SVD fallback of ``centered_bound``, ``to_csv``).
     """
     if sample.tag != "ball-grid" or sample.dim != 2:
         raise ValueError("mirrored structure is only extracted from 2-d ball grids")

@@ -134,8 +134,7 @@ class SampleMatrix:
 
     ``directions`` is n x N; ``indices`` is N x n and holds the 1-based
     multi-index of the cell each column samples (``None`` for a plain array
-    wrapped by the estimator or the bounds, and for the half sample of
-    ``experiments.antipodal_half``). Both are read-only. A sample
+    wrapped by the estimator or the bounds). Both are read-only. A sample
     built from arrays holds them as given; the grid builders return a lazy
     sample that keeps its region and builds both arrays only on first
     access (the directions bitwise equal to its column blocks side by side).

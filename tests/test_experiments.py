@@ -53,13 +53,15 @@ class TestAntipodalHalf:
     def test_half_is_a_lazy_sample_of_the_first_half_turn(self, n2):
         full = ball_grid_sample(BallRegion((0.3, -0.2), 2.5, (7, n2)))
         half = antipodal_half(full)
-        assert (half.tag, half.dim, half.n_columns, half.indices) == ("ball-half", 2, 7 * n2 // 2, None)
+        assert (half.tag, half.dim, half.n_columns) == ("ball-half", 2, 7 * n2 // 2)
         assert "directions" not in vars(half) and "directions" not in vars(full)
         # the columns with y2 <= N2/2, bitwise, whether or not S's arrays were built first
         want = np.array(full.directions).reshape(2, 7, n2)[:, :, : n2 // 2].reshape(2, -1)
         assert np.array_equal(half.directions, want)
         assert np.array_equal(antipodal_half(full).directions, want)
-        assert not half.directions.flags.writeable
+        assert not half.directions.flags.writeable and not half.indices.flags.writeable
+        assert half.indices.tolist() == [[y1, y2] for y1 in range(1, 8) for y2 in range(1, n2 // 2 + 1)]
+        assert half.to_csv().splitlines()[1] == f"2,{7 * n2 // 2},ball-half"
         # S S^T = 2 A A^T: the half's Gram is S's halved, and its radius is S's
         assert np.array_equal(half.gram_spectrum[0], full.gram_spectrum[0] / 2.0)
         direct = want @ want.T
