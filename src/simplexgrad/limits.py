@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import regions
 from .closed_forms import ball_volume, dense_limit_matrix
 from .gsg import EvaluationError, ScalarField, _increments
 from .quadrature import QuadratureSpec, ball_nodes, box_nodes
-from .regions import BLOCK_COLUMNS
 
 __all__ = [
     "CapabilityError",
@@ -55,7 +55,8 @@ class LimitGradientResult:
 def _moments(field: ScalarField, x0, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``sum_j w_j (f(x0 + p_j) - f(x0)) p_j``, accumulated over blocks of ``BLOCK_COLUMNS`` nodes."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    blocks = ((lo, points[lo : lo + BLOCK_COLUMNS]) for lo in range(0, len(points), BLOCK_COLUMNS))
+    step = regions.BLOCK_COLUMNS
+    blocks = ((lo, points[lo : lo + step]) for lo in range(0, len(points), step))
     moments = np.zeros(points.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, offsets, increments in _increments(field, x0, blocks, unit="node"):

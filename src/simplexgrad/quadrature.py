@@ -8,11 +8,14 @@ against.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import regions
 from .gsg import ScalarField
 from .linalg import gamma_half_integer
 from .regions import _along, _check_budget, _spherical_map, _trig
@@ -35,12 +38,25 @@ class QuadratureSpec:
     nodes_per_axis: int = 32
 
     def __post_init__(self):
+        try:
+            operator.index(self.nodes_per_axis)
+        except TypeError:
+            raise ValueError(f"nodes_per_axis must be an integer, got {self.nodes_per_axis!r}") from None
         if self.nodes_per_axis < 2:
             raise ValueError("nodes_per_axis must be at least 2")
 
 
-def _gl_axis(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per ``m`` (read-only)."""
     q, w = np.polynomial.legendre.leggauss(m)
+    q.flags.writeable = False
+    w.flags.writeable = False
+    return q, w
+
+
+def _gl_axis(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    q, w = _legendre(m)
     half = 0.5 * (hi - lo)
     return lo + half * (q + 1.0), half * w
 
@@ -69,6 +85,8 @@ def box_nodes(d, spec: QuadratureSpec = QuadratureSpec()) -> tuple[np.ndarray, n
     ``DEFAULT_COLUMN_BUDGET``.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("side lengths must be finite")
     if d.size < 1 or np.any(d <= 0):
         raise ValueError("side lengths must all be positive")
     _check_budget(spec.nodes_per_axis**d.size, "quadrature nodes")
@@ -81,11 +99,15 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> tup
     Built on the spherical parameter box (radius, azimuth, polar angles);
     the returned weights already include the spherical volume element, so
     ``sum(w * g(points))`` approximates the Cartesian integral of ``g``.
-    Raises ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
-    ``DEFAULT_COLUMN_BUDGET``.
+    The nodes are written in slabs of whole radial slices, as many as fit in
+    ``BLOCK_COLUMNS`` nodes and at least one, so each slab's n strided
+    passes stay in cache. Raises ``BudgetExceededError`` when
+    ``nodes_per_axis ** n`` exceeds ``DEFAULT_COLUMN_BUDGET``.
     """
     if n < 2:
         raise ValueError("ball quadrature requires dimension >= 2")
+    if not math.isfinite(r):
+        raise ValueError("radius must be finite")
     if r <= 0:
         raise ValueError("radius must be positive")
     m = spec.nodes_per_axis
@@ -93,13 +115,17 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> tup
     axes = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
     axes += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
     rho, theta, *phis = [_along(q, k, n) for k, (q, _) in enumerate(axes)]
-    phis = [_trig(phi) for phi in phis]
+    theta, phis = _trig(theta), [_trig(phi) for phi in phis]
     points = np.empty((m,) * n + (n,))
-    _spherical_map(rho, _trig(theta), phis, np.moveaxis(points, -1, 0))
+    step = max(1, regions.BLOCK_COLUMNS // m ** (n - 1))
+    for lo in range(0, m, step):
+        # elementwise, so slab by slab gives the one-pass values bitwise
+        _spherical_map(rho[lo : lo + step], theta, phis, np.moveaxis(points[lo : lo + step], -1, 0))
     jac = rho ** (n - 1)
     for i, (_, sin_phi) in enumerate(phis):
         jac = jac * sin_phi ** (n - 2 - i)
-    weights = _weight_product([w for _, w in axes]) * jac
+    weights = _weight_product([w for _, w in axes])
+    weights *= jac
     return points.reshape(-1, n), weights.reshape(-1)
 
 

@@ -37,7 +37,8 @@ __all__ = [
 
 DEFAULT_COLUMN_BUDGET = 10_000_000
 
-# columns per block of the loop that streams a sample (and of the limit quadrature's node loop)
+# columns per block of the loop that streams a sample, and nodes per block of the limit
+# quadrature's node loop and of ball_nodes' slabs; read at call time, so one patch reaches all
 BLOCK_COLUMNS = 16_384
 
 
@@ -266,6 +267,8 @@ class SampleMatrix:
         direction components). Floats are written with round-trip
         precision; line endings are LF.
         """
+        if self.indices is None:
+            raise ValueError("sample has no cell indices to write; to_csv needs a grid or indexed sample")
         n, cols = self.dim, self.n_columns
         head = ",".join([f"i{k + 1}" for k in range(n)] + [f"s{k + 1}" for k in range(n)])
         chunks = [f"n,N,tag\n{n},{cols},{self.tag}\ncol,{head}\n"]

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from simplexgrad import regions
 from simplexgrad.quadrature import QuadratureSpec, _gl_axis, ball_nodes, box_nodes
 from simplexgrad.regions import (
     BallRegion,
@@ -98,6 +99,16 @@ def test_quadrature_nodes_match_reference_bitwise(n, m):
     for got, want in zip(box_nodes(d, QuadratureSpec(m)), reference_box_nodes(d, m)):
         assert got.shape == want.shape and np.array_equal(got, want)
     for got, want in zip(ball_nodes(n, 1.3, QuadratureSpec(m)), reference_ball_nodes(n, 1.3, m)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# (n, m, BLOCK_COLUMNS): slabs of 2, 2, 1 radial slices; then 7 slices a slab, the last of 6
+@pytest.mark.parametrize("n, m, block_columns", [(2, 5, 10), (3, 48, regions.BLOCK_COLUMNS)])
+def test_ball_nodes_written_in_slabs_match_reference_bitwise(n, m, block_columns, monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", block_columns)
+    step = max(1, block_columns // m ** (n - 1))
+    assert 1 < -(-m // step) and m % step != 0  # several slabs, the last one partial
+    for got, want in zip(ball_nodes(n, 0.9, QuadratureSpec(m)), reference_ball_nodes(n, 0.9, m)):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 

@@ -10,8 +10,11 @@ from scipy.integrate import dblquad
 from simplexgrad.closed_forms import ball_volume
 from simplexgrad.quadrature import (
     QuadratureSpec,
+    _gl_axis,
+    _legendre,
     abs_monomial_ball_integral,
     ball_nodes,
+    box_nodes,
     integrate_ball,
     integrate_box,
     monomial_ball_integral,
@@ -146,3 +149,42 @@ def test_ball_nodes_weights_integrate_volume():
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_axis=1)
+
+
+@pytest.mark.parametrize("m", [4.5, 4.0, "4", None])
+def test_non_integer_nodes_per_axis_rejected(m):
+    with pytest.raises(ValueError, match="must be an integer"):
+        QuadratureSpec(m)
+
+
+def test_numpy_integer_nodes_per_axis_accepted():
+    assert box_nodes((1.0,), QuadratureSpec(np.int64(3)))[0].shape == (3, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_extent_rejected(bad):
+    ones = lambda x: np.ones(len(x))  # noqa: E731
+    with pytest.raises(ValueError, match="side lengths must be finite"):
+        box_nodes((1.0, bad))
+    with pytest.raises(ValueError, match="side lengths must be finite"):
+        integrate_box(ones, (1.0, bad))
+    with pytest.raises(ValueError, match="radius must be finite"):
+        ball_nodes(2, bad)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        integrate_ball(ones, 2, bad)
+
+
+def test_legendre_rule_is_cached_and_read_only():
+    q, w = _legendre(7)
+    assert _legendre(7)[0] is q
+    assert not q.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        q[0] = 0.0
+    nodes, weights = _gl_axis(-1.0, 1.0, 7)
+    fresh = [a.copy() for a in _gl_axis(-1.0, 1.0, 7)]
+    nodes[:] = 5.0
+    weights[:] = 5.0
+    for got, want in zip(_gl_axis(-1.0, 1.0, 7), fresh):
+        assert np.array_equal(got, want)
+    for cached, computed in zip(_legendre(7), np.polynomial.legendre.leggauss(7)):
+        assert np.array_equal(cached, computed)

@@ -12,6 +12,7 @@ from simplexgrad.regions import (
     BallRegion,
     BudgetExceededError,
     HyperrectRegion,
+    SampleMatrix,
     ball_grid_sample,
     grid_jacobian,
     rect_arbitrary_sample,
@@ -304,3 +305,7 @@ class TestCsv:
         sample = ball_grid_sample(BallRegion((0.0, 0.0), 30.0, (3, 4)))
         assert sample.to_csv() == sample.to_csv()
         assert "\r" not in sample.to_csv()
+
+    def test_sample_without_cell_indices_is_rejected(self):
+        with pytest.raises(ValueError, match="no cell indices"):
+            SampleMatrix(np.eye(2), "x", None).to_csv()

@@ -12,8 +12,8 @@ from simplexgrad.bounds import centered_bound, classical_bound
 from simplexgrad.experiments import ExperimentConfig, antipodal_half, convergence
 from simplexgrad.fields import get_field
 from simplexgrad.gsg import EvaluationError, ScalarField, function_increments, simplex_gradient
-from simplexgrad.limits import limit_gradient_box
-from simplexgrad.quadrature import QuadratureSpec, box_nodes
+from simplexgrad.limits import limit_gradient_ball, limit_gradient_box
+from simplexgrad.quadrature import QuadratureSpec, ball_nodes, box_nodes
 from simplexgrad.regions import (
     BallRegion,
     HyperrectRegion,
@@ -132,7 +132,6 @@ def test_later_block_names_the_global_column(bad, monkeypatch):
 
 def test_later_node_block_names_the_global_node(monkeypatch):
     monkeypatch.setattr(regions, "BLOCK_COLUMNS", 7)
-    monkeypatch.setattr("simplexgrad.limits.BLOCK_COLUMNS", 7)
     spec = QuadratureSpec(8)
     points, _ = box_nodes((1.0, 1.0), spec)
     first = int(np.argmax(points[:, 0] > 0.5))
@@ -145,7 +144,7 @@ def test_later_node_block_names_the_global_node(monkeypatch):
 def test_blocked_moments_agree_with_one_block(monkeypatch):
     field = _smooth(2)
     whole = limit_gradient_box(field, (0.2, 0.1), (1.0, 2.0), QuadratureSpec(16)).estimate
-    monkeypatch.setattr("simplexgrad.limits.BLOCK_COLUMNS", 7)
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 7)
     blocked = limit_gradient_box(field, (0.2, 0.1), (1.0, 2.0), QuadratureSpec(16)).estimate
     assert np.allclose(blocked, whole, rtol=1e-13, atol=0.0)
 
@@ -235,3 +234,19 @@ def test_one_row_at_1024_squared_stays_small(region):
     # the materialized directions, indices and shifted points took 64.7 MB (rect) and 72.0 MB (ball);
     # the materialized half sample of the ball row took 8 MB of a 9.4 MB peak
     assert peak < 4 * 2**20
+
+
+def test_ball_limit_peaks_at_its_nodes_and_weights():
+    entry = get_field("affine3")
+    spec = QuadratureSpec(96)
+    points, weights = ball_nodes(3, 1.0, spec)
+    held = points.nbytes + weights.nbytes
+    del points, weights
+    tracemalloc.start()
+    try:
+        limit_gradient_ball(entry.field, entry.anchor, 1.0, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a second m^n weight array (weights * jac) put the peak at 1.255 times the returned arrays
+    assert peak < 1.05 * held
