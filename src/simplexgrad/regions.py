@@ -38,7 +38,7 @@ __all__ = [
 DEFAULT_COLUMN_BUDGET = 10_000_000
 
 # columns per block of the loop that streams a sample, and nodes per block of the limit
-# quadrature's node loop and of ball_nodes' slabs; read at call time, so one patch reaches all
+# quadrature's node loop and of ball_nodes' slabs; each of those loops reads it at call time
 BLOCK_COLUMNS = 16_384
 
 
@@ -265,7 +265,8 @@ class SampleMatrix:
 
         Each row is ``col, i1..in, s1..sn`` (cell multi-index, then
         direction components). Floats are written with round-trip
-        precision; line endings are LF.
+        precision; line endings are LF. A sample without cell indices (a
+        plain array) raises ``ValueError``.
         """
         if self.indices is None:
             raise ValueError("sample has no cell indices to write; to_csv needs a grid or indexed sample")

@@ -248,5 +248,5 @@ def test_ball_limit_peaks_at_its_nodes_and_weights():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a second m^n weight array (weights * jac) put the peak at 1.255 times the returned arrays
+    # the returned arrays plus one node block; one more m^n weight array would add 25 %
     assert peak < 1.05 * held
