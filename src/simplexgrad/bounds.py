@@ -79,8 +79,8 @@ def classical_bound(sample, grad_lipschitz: float) -> BoundReport:
     full-row-rank sample. ``grad_lipschitz`` must be valid on the ball of
     radius Delta about the reference point.
     """
-    if grad_lipschitz < 0:
-        raise ValueError("grad_lipschitz must be nonnegative")
+    if not 0 <= grad_lipschitz < math.inf:
+        raise ValueError("grad_lipschitz must be finite and nonnegative")
     sample = _as_sample(sample)
     cols = sample.n_columns
     radius = sample_radius(sample)
@@ -103,13 +103,13 @@ def centered_bound(half_sample, hess_lipschitz: float, radius: float | None = No
     with ``Ahat = A / Delta``. ``hess_lipschitz`` must be valid on the
     ball of radius Delta about the reference point.
     """
-    if hess_lipschitz < 0:
-        raise ValueError("hess_lipschitz must be nonnegative")
+    if not 0 <= hess_lipschitz < math.inf:
+        raise ValueError("hess_lipschitz must be finite and nonnegative")
     half_sample = _as_sample(half_sample)
     half_cols = half_sample.n_columns
     delta = sample_radius(half_sample) if radius is None else float(radius)
-    if delta <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("radius must be finite and positive")
     smin, smax = _min_max_singular(half_sample, delta)
     if smin <= 1e-12 * smax:
         raise RankDeficiencyError("half sample must have full row rank")
@@ -131,8 +131,8 @@ def limit_bound_box(d, grad_lipschitz: float) -> BoundReport:
     form ``(1/2)(2n+1) L Delta`` applies and becomes the report value; the
     general value is kept in the constants either way.
     """
-    if grad_lipschitz < 0:
-        raise ValueError("grad_lipschitz must be nonnegative")
+    if not 0 <= grad_lipschitz < math.inf:
+        raise ValueError("grad_lipschitz must be finite and nonnegative")
     d = np.asarray(d, dtype=float).reshape(-1)
     if d.size < 2 or np.any(d <= 0):
         raise ValueError("side lengths must be positive and n >= 2")
@@ -157,10 +157,10 @@ def limit_bound_ball(n: int, r: float, hess_lipschitz: float) -> BoundReport:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if hess_lipschitz < 0:
-        raise ValueError("hess_lipschitz must be nonnegative")
+    if not 0 < r < math.inf:
+        raise ValueError("radius must be finite and positive")
+    if not 0 <= hess_lipschitz < math.inf:
+        raise ValueError("hess_lipschitz must be finite and nonnegative")
     eta = ball_gamma_ratio(n)
     value = math.sqrt(n) / (3.0 * math.sqrt(math.pi)) * hess_lipschitz * eta * r**2
     return BoundReport(

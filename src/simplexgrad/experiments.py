@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from .regions import (
     HyperrectRegion,
     SampleMatrix,
     _check_budget,
+    _integer_counts,
+    _polar_grid,
     ball_grid_sample,
     rect_arbitrary_sample,
     rect_grid_sample,
@@ -187,10 +188,12 @@ class ExperimentConfig:
 
     ``x0=None`` means the field's anchor and ``sides=None`` the unit box in
     the field's dimension; both are resolved, as tuples of floats, on
-    construction. Every schedule row's length and counts, its column count
-    and the limit quadrature's ``nodes ** dim`` are checked on construction
-    too (``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET``), before
-    the limit quadrature or any row runs.
+    construction. Every schedule row's length and integer counts, its
+    column count, ``nodes`` (an integer >= 2) and the limit quadrature's
+    ``nodes ** dim``, and finite, positive sides and radius are checked on
+    construction too (``BudgetExceededError`` above
+    ``DEFAULT_COLUMN_BUDGET``, else ``ValueError``), before the limit
+    quadrature or any row runs.
     """
 
     field_id: str
@@ -221,8 +224,12 @@ class ExperimentConfig:
         # rejected here too, before the limit quadrature runs on them
         if not all(math.isfinite(v) for v in self.sides):
             raise ValueError("side lengths must be finite")
+        if any(v <= 0 for v in self.sides):
+            raise ValueError("side lengths must be positive")
         if not math.isfinite(self.radius):
             raise ValueError("radius must be finite")
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
         if not all(math.isfinite(v) for v in self.x0):
             raise ValueError("x0 must be finite")
         if len(self.x0) != dim:
@@ -234,9 +241,10 @@ class ExperimentConfig:
         for counts in self.schedule:
             if len(counts) != dim:
                 raise ValueError(f"schedule rows must have {dim} counts for field {self.field_id}, got {tuple(counts)}")
-            if min(counts) < least:
+            if min(_integer_counts(counts)) < least:
                 raise ValueError(f"{self.region} subdivision counts must be >= {least}, got {tuple(counts)}")
             _check_budget(math.prod(counts))
+        QuadratureSpec(self.nodes)  # rejects a non-integer node count or one below 2
         _check_budget(self.nodes**dim, "quadrature nodes")
 
 
@@ -259,13 +267,13 @@ class ConvergenceResult:
     rows: list[ConvergenceRow]
 
     def dominated(self, slack: float = DOMINATION_SLACK) -> bool:
-        """True when every row's error sits at or below its bounds."""
+        """True when every row's error sits at or below its bounds; a NaN error or bound is a violation."""
         for row in self.rows:
-            if row.gsg_error > row.classical_bound + slack:
+            if not row.gsg_error <= row.classical_bound + slack:
                 return False
-            if row.centered_bound is not None and row.gsg_error > row.centered_bound + slack:
+            if row.centered_bound is not None and not row.gsg_error <= row.centered_bound + slack:
                 return False
-            if row.limit_error > row.limit_bound + slack:
+            if not row.limit_error <= row.limit_bound + slack:
                 return False
         return True
 
@@ -295,56 +303,28 @@ class ConvergenceResult:
         return buf.getvalue()
 
 
-class _AntipodalHalf(SampleMatrix):
-    """The half A of a 2-d ball grid S = [A, -A]: see ``antipodal_half``."""
-
-    def __init__(self, full: SampleMatrix):
-        n1, n2 = full.region.counts
-        self._full = full
-        self._setup("ball-half", None, 2, n1 * (n2 // 2))
-        self._fill = None
-        max_sq, gram = full._block_sums
-        # S S^T = 2 A A^T, and every column norm of S is one of A's
-        self.__dict__["_block_sums"] = max_sq, gram / 2.0
-
-    @cached_property
-    def directions(self) -> np.ndarray:
-        n1, n2 = self._full.region.counts
-        half = np.empty((2, n1, n2 // 2))
-        for start, block in self._full._blocks():
-            rows = block.reshape(2, -1, n2)
-            half[:, start // n2 : start // n2 + rows.shape[1]] = rows[:, :, : n2 // 2]
-        half = half.reshape(2, -1)
-        half.flags.writeable = False
-        return half
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        n1, n2 = self._full.region.counts
-        idx = self._full.indices.reshape(n1, n2, 2)[:, : n2 // 2].reshape(-1, 2)
-        idx.flags.writeable = False
-        return idx
-
-
 def antipodal_half(sample: SampleMatrix) -> SampleMatrix:
     """Half sample A with the full planar ball grid S equal to [A, -A] up to order.
 
     Requires a 2-d ball grid with an even azimuthal count: the column at
     azimuthal index y2 + N2/2 is the negation of the one at y2. A is the
-    columns with y2 <= N2/2, a lazy n x N/2 sample tagged ``ball-half``
-    whose cell indices are those of its columns in S. Its radius and Gram
-    are S's, the Gram halved: S S^T = 2 A A^T holds for S = [A, -A], so
-    A's Gram spectrum costs one 2 x 2 eigendecomposition and no pass over
-    the columns once S's sums are cached (reading them here walks S if
-    nothing has yet). Its ``directions`` are cut from S's column blocks,
-    each seen as (2, radial slices, N2), only when something reads them
-    (the SVD fallback of ``centered_bound``, ``to_csv``).
+    columns with y2 <= N2/2: the polar grid's own lazy sample over the
+    first half-turn, n x N/2 and tagged ``ball-half``, on S's region and
+    with the cell indices of its columns in S. Its radius and Gram are
+    S's, the Gram halved: S S^T = 2 A A^T holds for S = [A, -A], so A's
+    Gram spectrum costs one 2 x 2 eigendecomposition and no pass over the
+    columns once S's are known (reading them here walks S if nothing has
+    yet). Like every sample it is read through ``SampleMatrix``'s one block
+    function, which fills the half-turn's columns only when something reads
+    them (the SVD fallback of ``centered_bound``, ``to_csv``).
     """
     if sample.tag != "ball-grid" or sample.dim != 2:
         raise ValueError("mirrored structure is only extracted from 2-d ball grids")
     if sample.region.counts[1] % 2 != 0:
         raise ValueError("azimuthal count must be even for the mirrored split")
-    return _AntipodalHalf(sample)
+    # every column norm of S is one of A's
+    sums = sample.radius, sample.gram_spectrum[0] / 2.0
+    return _polar_grid(sample.region, "ball-half", sample.region.counts[1] // 2, sums)
 
 
 def convergence(config: ExperimentConfig) -> ConvergenceResult:

@@ -131,13 +131,13 @@ def _cause(exc: Exception) -> str:
 
 
 def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"):
-    """Yield ``(start, offsets, increments)`` for each ``(start, offsets)`` of ``blocks``.
+    """Yield ``(start, block, increments)`` for each ``(start, block)`` of ``SampleMatrix._blocks``.
 
-    ``offsets`` is an (m, n) block of rows whose first has index ``start``;
-    its increments are ``f(x0 + offsets[j]) - f(x0)``. f(x0) is evaluated
+    ``block`` is an n x m block of columns whose first has index ``start``;
+    its increments are ``f(x0 + block[:, j]) - f(x0)``. f(x0) is evaluated
     once, before the first block. Raises ``EvaluationError`` at the first
-    row whose evaluation fails or whose increment is not finite (row -1 is
-    x0 itself), naming it by its index as a ``unit``. ``MemoryError``
+    column whose evaluation fails or whose increment is not finite (column
+    -1 is x0 itself), naming it by its index as a ``unit``. ``MemoryError``
     propagates unchanged.
     """
     if x0.shape != (field.dim,):
@@ -150,23 +150,23 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
         raise EvaluationError(-1, x0, _cause(exc), unit) from exc
     if not math.isfinite(base):
         raise EvaluationError(-1, x0, f"non-finite value {base}", unit)
-    for start, offsets in blocks:
-        if offsets.shape[1:] != (field.dim,):
+    for start, block in blocks:
+        if len(block) != field.dim:
             raise ValueError(f"points must have {field.dim} components")
-        # x0 added one coordinate at a time: on C-ordered (m, n) rows, x0 + offsets would run
-        # numpy's inner loop over n elements once per row. empty_like keeps offsets' layout,
-        # as x0 + offsets did.
-        points = np.empty_like(offsets, dtype=float)
+        # x0 added one coordinate at a time: on the limit's node blocks (n x m views of C-ordered
+        # m x n rows), x0[:, None] + block would run numpy's inner loop over n elements once per
+        # node. empty_like keeps the block's layout, so the field gets points in the rows' layout.
+        points = np.empty_like(block, dtype=float)
         for k in range(field.dim):
-            np.add(offsets[:, k], x0[k], out=points[:, k])
+            np.add(block[k], x0[k], out=points[k])
         try:
-            values = field(points)
+            values = field(points.T)
         except MemoryError:
             raise
         except Exception:
             # re-evaluate one point at a time to name the first that fails
-            for j in range(len(offsets)):
-                point = x0 + offsets[j]
+            for j in range(block.shape[1]):
+                point = x0 + block[:, j]
                 try:
                     field(point)
                 except MemoryError:
@@ -186,14 +186,8 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
             bad = np.flatnonzero(~np.isfinite(increments))
             if bad.size:
                 j = int(bad[0])
-                raise EvaluationError(start + j, x0 + offsets[j], f"non-finite increment {increments[j]}", unit)
-        yield start, offsets, increments
-
-
-def _column_offsets(blocks):
-    """``(start, offsets)`` per ``(start, block)`` of a sample's blocks: the block's directions as rows."""
-    for start, block in blocks:
-        yield start, block.T
+                raise EvaluationError(start + j, x0 + block[:, j], f"non-finite increment {increments[j]}", unit)
+        yield start, block, increments
 
 
 def function_increments(field: ScalarField, x0, sample) -> np.ndarray:
@@ -207,7 +201,7 @@ def function_increments(field: ScalarField, x0, sample) -> np.ndarray:
     if x0.size != sample.dim:
         raise ValueError("x0 dimension does not match the sample matrix")
     df = np.empty(sample.n_columns)
-    for start, _, increments in _increments(field, x0, _column_offsets(sample._blocks())):
+    for start, _, increments in _increments(field, x0, sample._blocks()):
         df[start : start + increments.size] = increments
     return df
 
@@ -234,8 +228,8 @@ def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
     s_df = None
     if cols >= n:
         s_df = np.zeros(n)
-        for _, offsets, increments in _increments(field, x0, _column_offsets(sample._walk())):
-            s_df += offsets.T @ increments
+        for _, block, increments in _increments(field, x0, sample._walk()):
+            s_df += block @ increments
     gram, eigvals = sample.gram_spectrum
     cond = math.sqrt(eigvals[-1] / eigvals[0]) if eigvals[0] > 0 else math.inf
     cutoff = (max(n, cols) * np.finfo(float).eps) ** 2 * max(eigvals[-1], 0.0)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import regions
 from .closed_forms import ball_volume, dense_limit_matrix
 from .gsg import EvaluationError, ScalarField, _increments
 from .quadrature import QuadratureSpec, ball_nodes, box_nodes
+from .regions import _as_sample
 
 __all__ = [
     "CapabilityError",
@@ -53,14 +53,13 @@ class LimitGradientResult:
 
 
 def _moments(field: ScalarField, x0, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_j w_j (f(x0 + p_j) - f(x0)) p_j``, accumulated over blocks of ``BLOCK_COLUMNS`` nodes."""
+    """``sum_j w_j (f(x0 + p_j) - f(x0)) p_j``, over the blocks of the nodes walked as the sample
+    ``points.T``: each block is a view of whole node rows, so ``block.T`` is the rows themselves."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    step = regions.BLOCK_COLUMNS
-    blocks = ((lo, points[lo : lo + step]) for lo in range(0, len(points), step))
     moments = np.zeros(points.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, offsets, increments in _increments(field, x0, blocks, unit="node"):
-            moments += (weights[lo : lo + len(offsets)] * increments) @ offsets
+        for lo, block, increments in _increments(field, x0, _as_sample(points.T)._blocks(), unit="node"):
+            moments += (weights[lo : lo + block.shape[1]] * increments) @ block.T
     if not np.isfinite(moments).all():
         raise EvaluationError(-1, x0, f"moments overflow: {moments}", unit="node")
     return moments

@@ -18,6 +18,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,8 +38,8 @@ __all__ = [
 
 DEFAULT_COLUMN_BUDGET = 10_000_000
 
-# columns per block of the loop that streams a sample, and nodes per block of the limit
-# quadrature's node loop and of ball_nodes' slabs; each of those loops reads it at call time
+# columns per block of SampleMatrix's walk (the limit quadrature's nodes are walked as a
+# sample too), and nodes per slab of ball_nodes; read at call time
 BLOCK_COLUMNS = 16_384
 
 
@@ -62,7 +63,7 @@ class HyperrectRegion:
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         object.__setattr__(self, "d", tuple(float(v) for v in self.d))
-        object.__setattr__(self, "counts", tuple(int(v) for v in self.counts))
+        object.__setattr__(self, "counts", _integer_counts(self.counts))
         n = len(self.x0)
         if n < 2:
             raise ValueError("dimension must be >= 2")
@@ -106,7 +107,7 @@ class BallRegion:
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "counts", tuple(int(v) for v in self.counts))
+        object.__setattr__(self, "counts", _integer_counts(self.counts))
         n = len(self.x0)
         if n < 2:
             raise ValueError("dimension must be >= 2")
@@ -138,20 +139,25 @@ class SampleMatrix:
     wrapped by the estimator or the bounds). Both are read-only. A sample
     built from arrays holds them as given; the grid builders return a lazy
     sample that keeps its region and builds both arrays only on first
-    access (the directions bitwise equal to its column blocks side by side).
+    access.
 
-    Every consumer walks the same blocks (``_blocks``): a block is a run of
-    whole slices of the slowest grid axis, as many as fit in
-    ``BLOCK_COLUMNS`` and at least one; a sample with no grid region is cut
-    every ``BLOCK_COLUMNS`` columns. One walk (``_walk``) sums the largest
-    squared column norm and ``S S^T`` while it yields each block and caches
-    both when it ends; the radius and the Gram spectrum are read from that
-    cache and shared by the estimator and the bounds. The estimator sums
-    ``S df`` on the same walk, so a fresh sample is read once; a bound or
-    ``radius`` read first runs the walk alone. Each block's sums are the
-    same operations in the same order either way, so the radius, the Gram
-    and the estimate are bitwise the same whichever consumer walks first,
-    and whether or not the arrays were ever built.
+    Every point set is cut into blocks here and nowhere else: the samples,
+    the antipodal half of a planar ball grid and the limit quadrature's
+    nodes. A sample holds its grid shape in column order, slowest axis
+    first (N columns on one axis without a matching grid region), and one
+    ``_block(lo, hi)`` function that returns slowest-axis slices
+    ``lo..hi-1`` as an n x b array: a view for a sample built from arrays,
+    a freshly filled buffer for a grid builder. ``_blocks`` yields as many
+    whole slices at a time as fit in ``BLOCK_COLUMNS``, and at least one.
+    One walk (``_walk``) sums the radius and ``S S^T`` while it yields the
+    blocks and keeps both in ``_sums`` when it ends; the radius and the
+    Gram spectrum, shared by the estimator and the bounds, are read from
+    there. The estimator sums ``S df`` on the same walk, so a fresh sample
+    is read once; a bound or ``radius`` read first runs the walk alone.
+    Each block's sums are the same operations in the same order either
+    way, so the radius, the Gram and the estimate are bitwise the same
+    whichever consumer walks first, and whether or not the arrays were ever
+    built.
     """
 
     def __init__(
@@ -165,67 +171,67 @@ class SampleMatrix:
         if indices is not None:
             indices.flags.writeable = False
         self.__dict__.update(directions=directions, indices=indices)
-        self._setup(tag, region, *directions.shape)
-        self._fill = None
+        dim, n_columns = directions.shape
+        shape = (n_columns,)
+        if region is not None and region.n_cells == n_columns:
+            shape = tuple(region.counts[a] for a in _column_order(region))
+        width = math.prod(shape[1:])
+        self._setup(tag, region, dim, shape, lambda lo, hi: directions[:, lo * width : hi * width])
 
     @classmethod
-    def _lazy(cls, tag: str, region: HyperrectRegion | BallRegion, fill) -> SampleMatrix:
-        """Grid sample written slice by slice: ``fill(out, lo, hi)`` writes slowest-axis
-        slices ``lo..hi-1`` into ``out``, n x (hi - lo) x the other counts in column order."""
+    def _lazy(
+        cls, tag: str, region: HyperrectRegion | BallRegion, shape: tuple[int, ...], fill, sums=None
+    ) -> SampleMatrix:
+        """Sample of a grid of ``shape`` cells (column order), written slice by slice:
+        ``fill(out, lo, hi)`` writes slowest-axis slices ``lo..hi-1`` into ``out``, n x (hi - lo)
+        x ``shape[1:]``. ``sums``, if given, are the walk's (see ``_walk``)."""
+        dim = region.dim
+
+        def block(lo, hi):
+            out = np.empty((dim, hi - lo) + shape[1:])
+            fill(out, lo, hi)
+            return out.reshape(dim, -1)
+
         sample = cls.__new__(cls)
-        sample._setup(tag, region, region.dim, region.n_cells)
-        sample._fill = fill
+        sample._setup(tag, region, dim, shape, block, sums)
         return sample
 
-    def _setup(self, tag: str, region, dim: int, n_columns: int) -> None:
+    def _setup(self, tag: str, region, dim: int, shape: tuple[int, ...], block, sums=None) -> None:
         self.tag = tag
         self.region = region
         self.dim = dim
-        self.n_columns = n_columns
-        # slices of the slowest grid axis; without a matching grid region every column is one
-        if region is not None and region.n_cells == n_columns:
-            order = _column_order(region)
-            self._slices = region.counts[order[0]]
-            self._slice_shape = tuple(region.counts[a] for a in order[1:])
-        else:
-            self._slices, self._slice_shape = n_columns, ()
-        self._slice_columns = math.prod(self._slice_shape)
+        self.n_columns = math.prod(shape)
+        self._shape = shape
+        self._block = block
+        self._sums = sums
 
     def _blocks(self):
         """Yield ``(start, block)``: each column block's n x b directions and its first column."""
-        step = max(1, BLOCK_COLUMNS // self._slice_columns)
-        for lo in range(0, self._slices, step):
-            hi = min(lo + step, self._slices)
-            start = lo * self._slice_columns
-            if self._fill is None:
-                yield start, self.directions[:, start : hi * self._slice_columns]
-            else:
-                out = np.empty((self.dim, hi - lo) + self._slice_shape)
-                self._fill(out, lo, hi)
-                yield start, out.reshape(self.dim, -1)
+        slices, width = self._shape[0], math.prod(self._shape[1:])
+        step = max(1, BLOCK_COLUMNS // width)
+        for lo in range(0, slices, step):
+            yield lo * width, self._block(lo, min(lo + step, slices))
 
     @cached_property
     def directions(self) -> np.ndarray:
-        # elementwise, so filling all slices at once gives the blocks' values bitwise
-        out = np.empty((self.dim, self._slices) + self._slice_shape)
-        self._fill(out, 0, self._slices)
-        out = out.reshape(self.dim, -1)
+        # elementwise, so all slices in one block give the blocks' values bitwise
+        out = self._block(0, self._shape[0])
         out.flags.writeable = False
         return out
 
     @cached_property
     def indices(self) -> np.ndarray:
-        idx = _grid_indices(self.region.counts, _column_order(self.region))
+        idx = _grid_indices(self._shape, _column_order(self.region))
         idx.flags.writeable = False
         return idx
 
     def _walk(self):
-        """Yield ``_blocks()`` while summing the largest squared column norm and ``S S^T``.
+        """Yield ``_blocks()`` while summing the radius and ``S S^T``.
 
-        The sums are cached as ``_block_sums`` when the walk ends; once they
-        are, a walk only yields the blocks.
+        The sums are kept in ``_sums`` when the walk ends; once they are, a
+        walk only yields the blocks.
         """
-        if "_block_sums" in vars(self):
+        if self._sums is not None:
             yield from self._blocks()
             return
         max_sq = 0.0
@@ -234,27 +240,27 @@ class SampleMatrix:
             max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->j", block, block))))
             gram += block @ block.T
             yield start, block
-        self.__dict__["_block_sums"] = max_sq, gram
+        # sqrt(max sum of squares) rounds exactly like max(norm(axis=0)), without an n x N temporary
+        self._sums = float(np.sqrt(max_sq)), gram
 
-    @cached_property
-    def _block_sums(self) -> tuple[float, np.ndarray]:
-        """Largest squared column norm and ``S S^T``: a walk run to its end."""
-        for _ in self._walk():
-            pass
-        return self.__dict__["_block_sums"]
+    def _walked(self) -> tuple[float, np.ndarray]:
+        """The radius and ``S S^T``, from a walk run to its end if none has."""
+        if self._sums is None:
+            for _ in self._walk():
+                pass
+        return self._sums
 
     @cached_property
     def radius(self) -> float:
         """Largest column norm."""
         if self.n_columns == 0:
             raise ValueError("sample matrix is empty")
-        # sqrt(max sum of squares) rounds exactly like max(norm(axis=0)), without an n x N temporary
-        return float(np.sqrt(self._block_sums[0]))
+        return self._walked()[0]
 
     @cached_property
     def gram_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Gram matrix ``S S^T`` and its eigenvalues in ascending order (read-only)."""
-        gram = self._block_sums[1]
+        gram = self._walked()[1]
         eigvals = np.linalg.eigvalsh(gram)
         gram.flags.writeable = False
         eigvals.flags.writeable = False
@@ -273,17 +279,25 @@ class SampleMatrix:
         n, cols = self.dim, self.n_columns
         head = ",".join([f"i{k + 1}" for k in range(n)] + [f"s{k + 1}" for k in range(n)])
         chunks = [f"n,N,tag\n{n},{cols},{self.tag}\ncol,{head}\n"]
-        # rows built column-wise, BLOCK_COLUMNS at a time: str of each int, repr (round trip) of each float
-        for lo in range(0, cols, BLOCK_COLUMNS):
-            hi = min(lo + BLOCK_COLUMNS, cols)
+        # rows built column-wise, a block at a time: str of each int, repr (round trip) of each float
+        for lo, block in self._blocks():
+            hi = lo + block.shape[1]
             fields = [map(str, range(lo + 1, hi + 1))]
             fields += [map(str, v) for v in self.indices[lo:hi].T.tolist()]
-            fields += [map(repr, v) for v in self.directions[:, lo:hi].tolist()]
+            fields += [map(repr, v) for v in block.tolist()]
             chunks += ["\n".join(map(",".join, zip(*fields))), "\n"]
         text = "".join(chunks)
         if out is not None:
             out.write(text)
         return text
+
+
+def _integer_counts(counts) -> tuple[int, ...]:
+    """``counts`` as a tuple of ints; ``ValueError`` for any that is not an integer (2.5, 4.0, "4")."""
+    try:
+        return tuple(operator.index(c) for c in counts)
+    except TypeError:
+        raise ValueError(f"subdivision counts must be integers, got {tuple(counts)}") from None
 
 
 def _check_budget(n_cells: int, unit: str = "columns") -> None:
@@ -298,17 +312,17 @@ def _along(v, axis: int, ndim: int) -> np.ndarray:
     return np.reshape(v, shape)
 
 
-def _grid_indices(counts: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+def _grid_indices(shape: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
     """All 1-based cell multi-indices as an N x n ``int64`` array.
 
-    ``order`` lists the axes from slowest to fastest varying down the rows.
+    ``order`` lists the axes from slowest to fastest varying down the rows,
+    and ``shape`` their counts in that order.
     """
-    n = len(counts)
-    shape = tuple(counts[a] for a in order)
+    n = len(shape)
     idx = np.empty((math.prod(shape), n), dtype=np.int64)
     grid = idx.reshape(shape + (n,))
     for pos, a in enumerate(order):
-        grid[..., a] = _along(np.arange(1, counts[a] + 1), pos, n)
+        grid[..., a] = _along(np.arange(1, shape[pos] + 1), pos, n)
     return idx
 
 
@@ -362,7 +376,7 @@ def rect_grid_sample(region: HyperrectRegion) -> SampleMatrix:
         for a, v in enumerate(axes):
             out[a] = v[lo:hi] if a == order[0] else v
 
-    return SampleMatrix._lazy("rect-grid", region, fill)
+    return SampleMatrix._lazy("rect-grid", region, tuple(region.counts[a] for a in order), fill)
 
 
 def rect_arbitrary_sample(region: HyperrectRegion, offsets=None, seed=None) -> SampleMatrix:
@@ -410,9 +424,19 @@ def ball_grid_sample(region: BallRegion) -> SampleMatrix:
     ``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET`` columns.
     """
     _check_budget(region.n_cells)
+    return _polar_grid(region, "ball-grid", region.counts[1])
+
+
+def _polar_grid(region: BallRegion, tag: str, azimuths: int, sums=None) -> SampleMatrix:
+    """Lazy sample of the polar grid's cells with azimuthal index y_2 <= ``azimuths``.
+
+    The azimuth vector is the whole grid's cut short, so each column is
+    bitwise the whole grid's column of the same cell.
+    """
     n = region.dim
     counts = region.counts
-    y = [np.arange(1, c + 1) for c in counts]
+    cells = (counts[0], azimuths) + counts[2:]  # in column order: y_1 slowest
+    y = [np.arange(1, c + 1) for c in cells]
     rho = _along(region.r * y[0] / counts[0], 0, n)
     theta = _trig(_along(2.0 * math.pi * y[1] / counts[1], 1, n))
     phis = [_trig(_along(math.pi * y[k] / counts[k], k, n)) for k in range(2, n)]
@@ -420,7 +444,7 @@ def ball_grid_sample(region: BallRegion) -> SampleMatrix:
     def fill(out, lo, hi):
         _spherical_map(rho[lo:hi], theta, phis, out)
 
-    return SampleMatrix._lazy("ball-grid", region, fill)
+    return SampleMatrix._lazy(tag, region, cells, fill, sums)
 
 
 def grid_jacobian(region: BallRegion, y) -> float:

@@ -109,6 +109,23 @@ class TestCenteredBound:
             centered_bound(np.zeros((2, 0)), 1.0, radius=radius)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda lip: classical_bound(np.eye(2), lip),
+        lambda lip: centered_bound(np.eye(2), lip),
+        lambda lip: limit_bound_box((1.0, 2.0), lip),
+        lambda lip: limit_bound_ball(2, 1.0, lip),
+        lambda r: limit_bound_ball(2, r, 1.0),
+    ],
+    ids=["classical", "centered", "limit-box", "limit-ball", "limit-ball-radius"],
+)
+def test_non_finite_constants_rejected(bound, value):
+    with pytest.raises(ValueError, match="finite"):
+        bound(value)
+
+
 class TestFewerColumnsThanRows:
     """The SVD of an n x N sample with N < n has only N singular values; the missing one is 0."""
 

@@ -190,6 +190,26 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--region", "rect", "--nodes", "1"], "error: nodes_per_axis must be at least 2\n"),
+            (["--region", "ball", "--radius=-1"], "error: radius must be positive\n"),
+            (["--region", "rect", "--sides", "0,1"], "error: side lengths must be positive\n"),
+            (["--region", "rect", "--sides=-1,1"], "error: side lengths must be positive\n"),
+        ],
+        ids=["one-node", "negative-radius", "zero-side", "negative-side"],
+    )
+    def test_bad_limit_inputs_are_rejected_before_the_limit_runs(self, args, message, capsys, monkeypatch):
+        def no_limit(*args, **kwargs):
+            raise AssertionError("the limit quadrature ran")
+
+        monkeypatch.setattr(experiments, "limit_gradient_box", no_limit)
+        monkeypatch.setattr(experiments, "limit_gradient_ball", no_limit)
+        code = main(["convergence", "--field", "quad2", "--schedule", "4", "--nodes", "8", *args])
+        assert code == 2
+        assert capsys.readouterr().err == message
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_evaluation_failure_is_one_line_error(self, capsys):
         code = main(["convergence", "--field", "cubic2", "--region", "rect", "--x0", "1e300,1e300",

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from simplexgrad import regions
 from simplexgrad.experiments import (
     REPRODUCE_IDS,
+    ConvergenceResult,
     ExperimentConfig,
     antipodal_half,
     convergence,
@@ -67,6 +72,24 @@ class TestAntipodalHalf:
         direct = want @ want.T
         assert np.allclose(half.gram_spectrum[0], direct, rtol=0.0, atol=1e-12 * np.abs(direct).max())
         assert sample_radius(half) == sample_radius(full)
+
+    def test_half_fills_only_the_first_half_turn(self, monkeypatch):
+        full = ball_grid_sample(BallRegion((0.5, -0.25), 1.5, (5, 8)))
+        half = antipodal_half(full)
+        written, spherical_map = [], regions._spherical_map
+
+        def counting_map(rho, theta, phis, out):
+            written.append(out[0].size)
+            spherical_map(rho, theta, phis, out)
+
+        monkeypatch.setattr(regions, "_spherical_map", counting_map)
+        directions = half.directions
+        monkeypatch.undo()
+        # the half-turn's 5 x 4 columns, none of the other half-turn's
+        assert sum(written) == 20
+        want = np.array(full.directions).reshape(2, 5, 8)[:, :, :4].reshape(2, -1)
+        assert np.array_equal(directions, want)
+        assert np.array_equal(half.indices, full.indices.reshape(5, 8, 2)[:, :4].reshape(-1, 2))
 
     def test_odd_azimuthal_count_rejected(self):
         sample = ball_grid_sample(BallRegion((0.0, 0.0), 1.0, (3, 5)))
@@ -176,3 +199,36 @@ class TestConvergence:
     def test_schedule_rows_are_checked_at_construction(self, region, schedule, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(field_id="quad2", region=region, schedule=schedule)
+
+    @pytest.mark.parametrize("region", ["rect", "ball"])
+    @pytest.mark.parametrize("count", [4.5, 4.0, "4"])
+    def test_non_integer_schedule_counts_are_rejected(self, region, count):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            ExperimentConfig(field_id="cubic2", region=region, schedule=((count, 4),), nodes=8)
+
+    def test_numpy_integer_schedule_counts_are_accepted(self):
+        config = ExperimentConfig(field_id="cubic2", region="rect", schedule=((np.int64(4), 4),), nodes=8)
+        assert convergence(config).to_csv().splitlines()[-1].startswith("0,4x4,16,")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"nodes": 8.0}, "nodes_per_axis must be an integer"),
+            ({"nodes": 1}, "nodes_per_axis must be at least 2"),
+            ({"region": "ball", "radius": -1.0}, "radius must be positive"),
+            ({"sides": (0.0, 1.0)}, "side lengths must be positive"),
+            ({"sides": (-1.0, 1.0)}, "side lengths must be positive"),
+        ],
+        ids=["float-nodes", "one-node", "negative-radius", "zero-side", "negative-side"],
+    )
+    def test_limit_inputs_are_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**({"field_id": "cubic2", "region": "rect", "schedule": ((4, 4),)} | kwargs))
+
+    def test_a_nan_bound_is_not_dominated(self):
+        config = ExperimentConfig(field_id="cubic2", region="ball", schedule=((4, 4),), nodes=8)
+        row = convergence(config).rows[0]
+        assert ConvergenceResult(config, [row]).dominated()
+        for name in ("classical_bound", "centered_bound", "limit_bound", "gsg_error", "limit_error"):
+            bad = ConvergenceResult(config, [replace(row, **{name: math.nan})])
+            assert not bad.dominated(), name

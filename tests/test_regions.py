@@ -77,6 +77,15 @@ class TestRectGrid:
         with pytest.raises(ValueError, match="finite"):
             HyperrectRegion((0.0, 0.0), d, (2, 2))
 
+    @pytest.mark.parametrize("count", [2.5, 4.0, "4"])
+    def test_non_integer_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            HyperrectRegion((0.0, 0.0), (1.0, 1.0), (count, 3))
+
+    def test_numpy_integer_counts_accepted(self):
+        region = HyperrectRegion((0.0, 0.0), (1.0, 1.0), (np.int64(2), np.int32(3)))
+        assert region.counts == (2, 3) and all(type(c) is int for c in region.counts)
+
 
 class TestRectArbitrary:
     def test_zero_offsets_recover_grid(self):
@@ -174,6 +183,15 @@ class TestBallGrid:
     def test_non_finite_radius_rejected(self, r):
         with pytest.raises(ValueError, match="finite"):
             BallRegion((0.0, 0.0), r, (3, 3))
+
+    @pytest.mark.parametrize("count", [3.5, 4.0, "4"])
+    def test_non_integer_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            BallRegion((0.0, 0.0), 1.0, (3, count))
+
+    def test_numpy_integer_counts_accepted(self):
+        region = BallRegion((0.0, 0.0), 1.0, (np.int64(3), np.int32(4)))
+        assert region.counts == (3, 4) and all(type(c) is int for c in region.counts)
 
 
 class TestGridJacobian:

@@ -203,12 +203,12 @@ def test_a_row_fills_each_block_once_and_evaluates_n_plus_one_points(region, blo
     fills, points = [], []
     lazy, call = SampleMatrix._lazy.__func__, ScalarField.__call__
 
-    def counting_lazy(cls, tag, grid, fill):
+    def counting_lazy(cls, tag, grid, counts, fill, sums=None):
         def counted(out, lo, hi):
             fills.append((lo, hi))
             fill(out, lo, hi)
 
-        return lazy(cls, tag, grid, counted)
+        return lazy(cls, tag, grid, counts, counted, sums)
 
     def counting_call(self, p):
         points.append(len(np.atleast_2d(p)))
