@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -27,7 +28,7 @@ from .regions import (
     HyperrectRegion,
     SampleMatrix,
     _check_budget,
-    _integer_counts,
+    _integers,
     _polar_grid,
     ball_grid_sample,
     rect_arbitrary_sample,
@@ -190,10 +191,10 @@ class ExperimentConfig:
     the field's dimension; both are resolved, as tuples of floats, on
     construction. Every schedule row's length and integer counts, its
     column count, ``nodes`` (an integer >= 2) and the limit quadrature's
-    ``nodes ** dim``, and finite, positive sides and radius are checked on
-    construction too (``BudgetExceededError`` above
-    ``DEFAULT_COLUMN_BUDGET``, else ``ValueError``), before the limit
-    quadrature or any row runs.
+    ``nodes ** dim``, finite, positive sides and radius, and a nonnegative
+    integer ``seed`` are checked on construction too
+    (``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET``, else
+    ``ValueError``), before the limit quadrature or any row runs.
     """
 
     field_id: str
@@ -241,10 +242,17 @@ class ExperimentConfig:
         for counts in self.schedule:
             if len(counts) != dim:
                 raise ValueError(f"schedule rows must have {dim} counts for field {self.field_id}, got {tuple(counts)}")
-            if min(_integer_counts(counts)) < least:
+            if min(_integers(counts)) < least:
                 raise ValueError(f"{self.region} subdivision counts must be >= {least}, got {tuple(counts)}")
             _check_budget(math.prod(counts))
         QuadratureSpec(self.nodes)  # rejects a non-integer node count or one below 2
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        object.__setattr__(self, "seed", seed)
         _check_budget(self.nodes**dim, "quadrature nodes")
 
 

@@ -131,7 +131,11 @@ def _cause(exc: Exception) -> str:
 
 
 def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"):
-    """Yield ``(start, block, increments)`` for each ``(start, block)`` of ``SampleMatrix._blocks``.
+    """Yield ``(start, block, increments)`` for each ``(start, block)`` of ``blocks``.
+
+    ``blocks`` yields a sample's column blocks (``SampleMatrix._blocks``) or
+    the limit quadrature's node parts, each taken only once the previous
+    block's increments have been yielded.
 
     ``block`` is an n x m block of columns whose first has index ``start``;
     its increments are ``f(x0 + block[:, j]) - f(x0)``. f(x0) is evaluated

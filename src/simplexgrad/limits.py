@@ -23,7 +23,7 @@ import numpy as np
 from .closed_forms import ball_volume, dense_limit_matrix
 from .gsg import EvaluationError, ScalarField, _increments
 from .quadrature import QuadratureSpec, ball_nodes, box_nodes
-from .regions import _as_sample
+from .regions import _block_bounds
 
 __all__ = [
     "CapabilityError",
@@ -52,14 +52,28 @@ class LimitGradientResult:
     nodes_per_axis: int
 
 
-def _moments(field: ScalarField, x0, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_j w_j (f(x0 + p_j) - f(x0)) p_j``, over the blocks of the nodes walked as the sample
-    ``points.T``: each block is a view of whole node rows, so ``block.T`` is the rows themselves."""
+def _moments(field: ScalarField, x0, m: int, build) -> np.ndarray:
+    """``sum_j w_j (f(x0 + p_j) - f(x0)) p_j`` over an ``m``-per-axis rule, built and summed part by part.
+
+    ``build(part)`` returns one part's nodes and weights. The parts are as
+    many whole first-axis slices as fit in ``BLOCK_COLUMNS`` nodes, and at
+    least one, so no ``m^n`` array is formed. f(x0) is evaluated once.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    moments = np.zeros(points.shape[1])
+    moments = np.zeros(field.dim)
+    weights = []  # each part's weights, popped below: _increments consumes one block per yield
+
+    def blocks():
+        start = 0
+        for part in _block_bounds(m, m ** (field.dim - 1)):
+            points, w = build(part)
+            weights.append(w)
+            yield start, points.T
+            start += w.size
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, block, increments in _increments(field, x0, _as_sample(points.T)._blocks(), unit="node"):
-            moments += (weights[lo : lo + block.shape[1]] * increments) @ block.T
+        for _, block, increments in _increments(field, x0, blocks(), unit="node"):
+            moments += (weights.pop() * increments) @ block.T
     if not np.isfinite(moments).all():
         raise EvaluationError(-1, x0, f"moments overflow: {moments}", unit="node")
     return moments
@@ -67,14 +81,12 @@ def _moments(field: ScalarField, x0, points: np.ndarray, weights: np.ndarray) ->
 
 def box_moment_vector(field: ScalarField, x0, d, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Moments ``integral of x_i (f(x0+x) - f(x0))`` over ``[0,d_1]x...x[0,d_n]``."""
-    points, weights = box_nodes(d, spec)
-    return _moments(field, x0, points, weights)
+    return _moments(field, x0, spec.nodes_per_axis, lambda part: box_nodes(d, spec, part))
 
 
 def ball_moment_vector(field: ScalarField, x0, r: float, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Moments ``integral of x_i (f(x0+x) - f(x0))`` over the ball of radius r."""
-    points, weights = ball_nodes(field.dim, r, spec)
-    return _moments(field, x0, points, weights)
+    return _moments(field, x0, spec.nodes_per_axis, lambda part: ball_nodes(field.dim, r, spec, part))
 
 
 def limit_gradient_box(field: ScalarField, x0, d, spec: QuadratureSpec = QuadratureSpec()) -> LimitGradientResult:
@@ -141,7 +153,7 @@ def taylor_diagnostics(
     if d is not None:
         points, weights = box_nodes(np.asarray(d, dtype=float), spec)
         v = (weights * (points @ g)) @ points
-        return {"v": v, "w": _moments(field, x0, points, weights) - v}
+        return {"v": v, "w": box_moment_vector(field, x0, d, spec) - v}
     if field.hess is None:
         raise CapabilityError("the ball split requires an analytic Hessian")
     points, weights = ball_nodes(field.dim, float(r), spec)
@@ -150,4 +162,4 @@ def taylor_diagnostics(
     h = field.hessian(x0)
     curvature = 0.5 * np.einsum("mi,ij,mj->m", points, h, points)
     w = (weights * curvature) @ points
-    return {"v": v, "w": w, "z": _moments(field, x0, points, weights) - v - w}
+    return {"v": v, "w": w, "z": ball_moment_vector(field, x0, float(r), spec) - v - w}

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import regions
 from .gsg import ScalarField
 from .linalg import gamma_half_integer
-from .regions import _along, _check_budget, _spherical_map, _trig
+from .regions import _along, _check_budget, _integers, _spherical_map, _trig
 
 __all__ = [
     "QuadratureSpec",
@@ -46,12 +45,16 @@ class QuadratureSpec:
             raise ValueError("nodes_per_axis must be at least 2")
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 @functools.lru_cache(maxsize=32)
 def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per ``m`` (read-only)."""
     q, w = np.polynomial.legendre.leggauss(m)
-    q.flags.writeable = False
-    w.flags.writeable = False
+    _read_only(q, w)
     return q, w
 
 
@@ -70,18 +73,27 @@ def _weight_product(ws: list[np.ndarray]) -> np.ndarray:
     return weights
 
 
-def _tensor(axes: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    n = len(axes)
-    points = np.empty(tuple(q.size for q, _ in axes) + (n,))
-    for k, (q, _) in enumerate(axes):
-        points[..., k] = _along(q, k, n)
-    return points.reshape(-1, n), _weight_product([w for _, w in axes]).reshape(-1)
+def _part(part, m: int) -> tuple[int, int]:
+    """``part`` as first-axis bounds ``0 <= lo < hi <= m``; ``None`` is the whole axis."""
+    if part is None:
+        return 0, m
+    try:
+        lo, hi = map(operator.index, part)
+    except (TypeError, ValueError):
+        raise ValueError(f"part must be two integers (lo, hi), got {part!r}") from None
+    if not 0 <= lo < hi <= m:
+        raise ValueError(f"part must satisfy 0 <= lo < hi <= {m}, got {part!r}")
+    return lo, hi
 
 
-def box_nodes(d, spec: QuadratureSpec = QuadratureSpec()) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (m, n) and weights (m,) for the box ``[0, d_1] x ... x [0, d_n]``.
+def box_nodes(d, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (b, n) and weights (b,) for the box ``[0, d_1] x ... x [0, d_n]``.
 
-    Raises ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
+    Nodes run with x_1 slowest. ``part=(lo, hi)`` returns only the nodes
+    whose x_1 index is in ``lo..hi-1`` (b = (hi - lo) m^(n-1)), bitwise
+    equal to those rows of the full call; the full call is the part
+    ``(0, m)``. Raises ``ValueError`` for a bad part and
+    ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
     ``DEFAULT_COLUMN_BUDGET``.
     """
     d = np.asarray(d, dtype=float).reshape(-1)
@@ -89,20 +101,50 @@ def box_nodes(d, spec: QuadratureSpec = QuadratureSpec()) -> tuple[np.ndarray, n
         raise ValueError("side lengths must be finite")
     if d.size < 1 or np.any(d <= 0):
         raise ValueError("side lengths must all be positive")
-    _check_budget(spec.nodes_per_axis**d.size, "quadrature nodes")
-    return _tensor([_gl_axis(0.0, di, spec.nodes_per_axis) for di in d])
+    m = spec.nodes_per_axis
+    _check_budget(m**d.size, "quadrature nodes")
+    lo, hi = _part(part, m)
+    (q, w), *rest = [_gl_axis(0.0, di, m) for di in d]
+    axes = [(q[lo:hi], w[lo:hi])] + rest
+    n = len(axes)
+    points = np.empty(tuple(q.size for q, _ in axes) + (n,))
+    for k, (q, _) in enumerate(axes):
+        points[..., k] = _along(q, k, n)
+    return points.reshape(-1, n), _weight_product([w for _, w in axes]).reshape(-1)
 
 
-def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (m, n) and weights (m,) for the ball of radius ``r`` about the origin.
+@functools.lru_cache(maxsize=32)
+def _ball_axes(n: int, r: float, m: int):
+    """The ball rule's per-axis factors, computed once per ``(n, r, m)`` (read-only).
 
-    Built on the spherical parameter box (radius, azimuth, polar angles);
-    the returned weights already include the spherical volume element, so
-    ``sum(w * g(points))`` approximates the Cartesian integral of ``g``.
-    The nodes are written in slabs of whole radial slices, as many as fit in
-    ``BLOCK_COLUMNS`` nodes and at least one, so each slab's n strided
-    passes stay in cache. Raises ``BudgetExceededError`` when
-    ``nodes_per_axis ** n`` exceeds ``DEFAULT_COLUMN_BUDGET``.
+    Returns ``(rho, theta, phis, ws, jac)``, each laid along its grid axis:
+    the radius abscissae, the (cos, sin) pairs of the azimuth and of each
+    polar angle, the per-axis weights, and the volume element's per-axis
+    factors ``rho^(n-1), sin^(n-2)(phi_1), ..., sin(phi_(n-2))``.
+    """
+    axes = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
+    axes += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
+    rho, theta, *phis = [_along(q, k, n) for k, (q, _) in enumerate(axes)]
+    theta, phis = _trig(theta), [_trig(phi) for phi in phis]
+    ws = [w for _, w in axes]
+    jac = [rho ** (n - 1)] + [sin_phi ** (n - 2 - i) for i, (_, sin_phi) in enumerate(phis)]
+    _read_only(rho, *theta, *(a for pair in phis for a in pair), *ws, *jac)
+    return rho, theta, phis, ws, jac
+
+
+def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (b, n) and weights (b,) for the ball of radius ``r`` about the origin.
+
+    Built on the spherical parameter box (radius, azimuth, polar angles),
+    with the radius slowest; the returned weights already include the
+    spherical volume element, so ``sum(w * g(points))`` approximates the
+    Cartesian integral of ``g``. ``part=(lo, hi)`` returns only the nodes
+    whose radius index is in ``lo..hi-1`` (b = (hi - lo) m^(n-1)), bitwise
+    equal to those rows of the full call; the full call is the part
+    ``(0, m)``. Each part computes only its own nodes, from per-axis
+    factors cached once per ``(n, r, m)``. Raises ``ValueError`` for a bad
+    part and ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
+    ``DEFAULT_COLUMN_BUDGET``.
     """
     if n < 2:
         raise ValueError("ball quadrature requires dimension >= 2")
@@ -112,19 +154,14 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> tup
         raise ValueError("radius must be positive")
     m = spec.nodes_per_axis
     _check_budget(m**n, "quadrature nodes")
-    axes = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
-    axes += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
-    rho, theta, *phis = [_along(q, k, n) for k, (q, _) in enumerate(axes)]
-    theta, phis = _trig(theta), [_trig(phi) for phi in phis]
-    points = np.empty((m,) * n + (n,))
-    step = max(1, regions.BLOCK_COLUMNS // m ** (n - 1))
-    for lo in range(0, m, step):
-        # elementwise, so slab by slab gives the one-pass values bitwise
-        _spherical_map(rho[lo : lo + step], theta, phis, np.moveaxis(points[lo : lo + step], -1, 0))
-    jac = rho ** (n - 1)
-    for i, (_, sin_phi) in enumerate(phis):
-        jac = jac * sin_phi ** (n - 2 - i)
-    weights = _weight_product([w for _, w in axes])
+    lo, hi = _part(part, m)
+    rho, theta, phis, ws, (radial, *polar) = _ball_axes(n, float(r), m)
+    points = np.empty((hi - lo,) + (m,) * (n - 1) + (n,))
+    _spherical_map(rho[lo:hi], theta, phis, np.moveaxis(points, -1, 0))
+    jac = radial[lo:hi]
+    for factor in polar:
+        jac = jac * factor
+    weights = _weight_product([ws[0][lo:hi]] + ws[1:])
     weights *= jac
     return points.reshape(-1, n), weights.reshape(-1)
 
@@ -168,7 +205,7 @@ def monomial_ball_integral(alpha, n: int, r: float = 1.0) -> float:
     Zero when any exponent is odd; otherwise a closed form in gamma values
     at half-integers.
     """
-    alpha = np.asarray(alpha, dtype=int).reshape(-1)
+    alpha = np.asarray(_integers(np.ravel(alpha).tolist(), "exponents"))
     if alpha.size != n:
         raise ValueError("alpha must have one exponent per dimension")
     if np.any(alpha < 0):
@@ -181,7 +218,7 @@ def monomial_ball_integral(alpha, n: int, r: float = 1.0) -> float:
 
 def abs_monomial_ball_integral(alpha, n: int, r: float = 1.0) -> float:
     """Exact integral of ``|x_1|^a1 ... |x_n|^an`` over the ball of radius ``r``."""
-    alpha = np.asarray(alpha, dtype=int).reshape(-1)
+    alpha = np.asarray(_integers(np.ravel(alpha).tolist(), "exponents"))
     if alpha.size != n:
         raise ValueError("alpha must have one exponent per dimension")
     if np.any(alpha < 0):

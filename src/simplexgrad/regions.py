@@ -38,8 +38,8 @@ __all__ = [
 
 DEFAULT_COLUMN_BUDGET = 10_000_000
 
-# columns per block of SampleMatrix's walk (the limit quadrature's nodes are walked as a
-# sample too), and nodes per slab of ball_nodes; read at call time
+# most columns in a block of SampleMatrix's walk, and most nodes in a part of the limit
+# quadrature's walk, unless one slice alone is wider (see _block_bounds); read at call time
 BLOCK_COLUMNS = 16_384
 
 
@@ -63,7 +63,7 @@ class HyperrectRegion:
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         object.__setattr__(self, "d", tuple(float(v) for v in self.d))
-        object.__setattr__(self, "counts", _integer_counts(self.counts))
+        object.__setattr__(self, "counts", _integers(self.counts))
         n = len(self.x0)
         if n < 2:
             raise ValueError("dimension must be >= 2")
@@ -107,7 +107,7 @@ class BallRegion:
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "counts", _integer_counts(self.counts))
+        object.__setattr__(self, "counts", _integers(self.counts))
         n = len(self.x0)
         if n < 2:
             raise ValueError("dimension must be >= 2")
@@ -141,14 +141,15 @@ class SampleMatrix:
     sample that keeps its region and builds both arrays only on first
     access.
 
-    Every point set is cut into blocks here and nowhere else: the samples,
-    the antipodal half of a planar ball grid and the limit quadrature's
-    nodes. A sample holds its grid shape in column order, slowest axis
-    first (N columns on one axis without a matching grid region), and one
-    ``_block(lo, hi)`` function that returns slowest-axis slices
-    ``lo..hi-1`` as an n x b array: a view for a sample built from arrays,
-    a freshly filled buffer for a grid builder. ``_blocks`` yields as many
-    whole slices at a time as fit in ``BLOCK_COLUMNS``, and at least one.
+    Every sample is cut into blocks here, the antipodal half of a planar
+    ball grid included. A sample holds its grid shape in column order,
+    slowest axis first (N columns on one axis without a matching grid
+    region), and one ``_block(lo, hi)`` function that returns slowest-axis
+    slices ``lo..hi-1`` as an n x b array: a view for a sample built from
+    arrays, a freshly filled buffer for a grid builder. ``_blocks`` yields
+    as many whole slices at a time as fit in ``BLOCK_COLUMNS``, and at
+    least one; ``_block_bounds`` holds that rule, and the limit quadrature
+    cuts its nodes into parts by it too.
     One walk (``_walk``) sums the radius and ``S S^T`` while it yields the
     blocks and keeps both in ``_sums`` when it ends; the radius and the
     Gram spectrum, shared by the estimator and the bounds, are read from
@@ -207,10 +208,9 @@ class SampleMatrix:
 
     def _blocks(self):
         """Yield ``(start, block)``: each column block's n x b directions and its first column."""
-        slices, width = self._shape[0], math.prod(self._shape[1:])
-        step = max(1, BLOCK_COLUMNS // width)
-        for lo in range(0, slices, step):
-            yield lo * width, self._block(lo, min(lo + step, slices))
+        width = math.prod(self._shape[1:])
+        for lo, hi in _block_bounds(self._shape[0], width):
+            yield lo * width, self._block(lo, hi)
 
     @cached_property
     def directions(self) -> np.ndarray:
@@ -292,12 +292,24 @@ class SampleMatrix:
         return text
 
 
-def _integer_counts(counts) -> tuple[int, ...]:
-    """``counts`` as a tuple of ints; ``ValueError`` for any that is not an integer (2.5, 4.0, "4")."""
+def _block_bounds(slices: int, width: int):
+    """Yield ``(lo, hi)`` for each block of whole slices ``lo..hi-1``, ``width`` columns a slice.
+
+    A block holds as many slices as fit in ``BLOCK_COLUMNS`` columns, and at
+    least one. This is the one rule that cuts point sets: ``SampleMatrix``'s
+    column blocks and the limit quadrature's node parts.
+    """
+    step = max(1, BLOCK_COLUMNS // width)
+    for lo in range(0, slices, step):
+        yield lo, min(lo + step, slices)
+
+
+def _integers(values, what: str = "subdivision counts") -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ``ValueError`` for any that is not an integer (2.5, 4.0, "4")."""
     try:
-        return tuple(operator.index(c) for c in counts)
+        return tuple(operator.index(v) for v in values)
     except TypeError:
-        raise ValueError(f"subdivision counts must be integers, got {tuple(counts)}") from None
+        raise ValueError(f"{what} must be integers, got {tuple(values)}") from None
 
 
 def _check_budget(n_cells: int, unit: str = "columns") -> None:
@@ -453,7 +465,7 @@ def grid_jacobian(region: BallRegion, y) -> float:
     Equals ``(r y_1/N_1)^{n-1} sin^{n-2}(pi y_3/N_3) ... sin(pi y_n/N_n)``;
     for n = 2 the sine product is empty.
     """
-    y = np.asarray(y, dtype=int).reshape(-1)
+    y = np.asarray(_integers(np.ravel(y).tolist(), "multi-index entries"))
     counts = np.asarray(region.counts)
     n = region.dim
     if y.size != n:

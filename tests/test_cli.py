@@ -210,6 +210,14 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == message
 
+    def test_negative_seed_is_rejected(self, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        code = main(["convergence", "--field", "quad2", "--region", "rect", "--schedule", "4", "--seed", "-1",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_evaluation_failure_is_one_line_error(self, capsys):
         code = main(["convergence", "--field", "cubic2", "--region", "rect", "--x0", "1e300,1e300",

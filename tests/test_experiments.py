@@ -225,6 +225,19 @@ class TestConvergence:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**({"field_id": "cubic2", "region": "rect", "schedule": ((4, 4),)} | kwargs))
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be nonnegative"), (1.5, "seed must be an integer"), ("3", "seed must be an integer")],
+        ids=["negative", "float", "string"],
+    )
+    def test_bad_seed_is_rejected_at_construction(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(field_id="quad2", region="rect", sample="arbitrary", schedule=((4, 4),), nodes=8, seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        config = ExperimentConfig(field_id="quad2", region="rect", schedule=((4, 4),), nodes=8, seed=np.int64(3))
+        assert config.seed == 3 and type(config.seed) is int
+
     def test_a_nan_bound_is_not_dominated(self):
         config = ExperimentConfig(field_id="cubic2", region="ball", schedule=((4, 4),), nodes=8)
         row = convergence(config).rows[0]

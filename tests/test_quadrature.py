@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from simplexgrad import regions
 from simplexgrad.closed_forms import ball_volume
 from simplexgrad.quadrature import (
     QuadratureSpec,
+    _ball_axes,
     _gl_axis,
     _legendre,
     abs_monomial_ball_integral,
@@ -139,6 +141,13 @@ class TestMonomialOracles:
         with pytest.raises(ValueError):
             monomial_ball_integral((1, 0, 0), 2, 1.0)
 
+    @pytest.mark.parametrize("oracle", [monomial_ball_integral, abs_monomial_ball_integral])
+    @pytest.mark.parametrize("alpha", [(1.5, 0.5), (2.0, 0.0), ("2", "0")], ids=["fraction", "float", "string"])
+    def test_non_integer_exponents_rejected(self, oracle, alpha):
+        # (1.5, 0.5) was truncated to (1, 0), whose integral is 0.0
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            oracle(alpha, 2, 1.0)
+
 
 def test_ball_nodes_weights_integrate_volume():
     for n in (2, 3, 4):
@@ -188,3 +197,59 @@ def test_legendre_rule_is_cached_and_read_only():
         assert np.array_equal(got, want)
     for cached, computed in zip(_legendre(7), np.polynomial.legendre.leggauss(7)):
         assert np.array_equal(cached, computed)
+
+
+def test_ball_axis_factors_are_cached_and_read_only():
+    rho, theta, phis, ws, jac = factors = _ball_axes(3, 1.0, 8)
+    assert _ball_axes(3, 1.0, 8) is factors
+    for a in [rho, *theta, *phis[0], *ws, *jac]:
+        assert not a.flags.writeable
+
+
+def _builder(kind: str, n: int, m: int):
+    spec = QuadratureSpec(m)
+    if kind == "box":
+        return lambda part=None: box_nodes((1.0, 0.5, 2.0)[:n], spec, part)
+    return lambda part=None: ball_nodes(n, 1.3, spec, part)
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+@pytest.mark.parametrize("n, m", [(2, 8), (2, 7), (3, 8), (3, 7)])
+def test_parts_concatenate_to_the_full_rule_bitwise(kind, n, m, monkeypatch):
+    # three first-axis slices a part, so the last part is partial (8 = 3+3+2, 7 = 3+3+1)
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 3 * m ** (n - 1))
+    bounds = list(regions._block_bounds(m, m ** (n - 1)))
+    assert bounds[0] == (0, 3) and bounds[-1][1] == m and bounds[-1][1] - bounds[-1][0] < 3
+    build = _builder(kind, n, m)
+    parts = [build(part) for part in bounds]
+    points, weights = build()
+    assert [p.shape for p, _ in parts] == [((hi - lo) * m ** (n - 1), n) for lo, hi in bounds]
+    assert np.concatenate([p for p, _ in parts]).tobytes() == points.tobytes()
+    assert np.concatenate([w for _, w in parts]).tobytes() == weights.tobytes()
+    whole = build((0, m))
+    assert whole[0].tobytes() == points.tobytes() and whole[1].tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ((1.5, 3), "must be two integers"),
+        ((0, 2.0), "must be two integers"),
+        (("0", "2"), "must be two integers"),
+        ((0, 1, 2), "must be two integers"),
+        (3, "must be two integers"),
+        ((3, 3), r"must satisfy 0 <= lo < hi <= 8"),
+        ((4, 2), r"must satisfy 0 <= lo < hi <= 8"),
+        ((-1, 2), r"must satisfy 0 <= lo < hi <= 8"),
+        ((0, 9), r"must satisfy 0 <= lo < hi <= 8"),
+    ],
+)
+def test_bad_part_rejected(kind, part, message):
+    with pytest.raises(ValueError, match=message):
+        _builder(kind, 2, 8)(part)
+
+
+def test_numpy_integer_part_accepted():
+    build = _builder("ball", 2, 8)
+    assert build((np.int64(2), np.int64(5)))[0].tobytes() == build((2, 5))[0].tobytes()

@@ -222,6 +222,16 @@ class TestGridJacobian:
         with pytest.raises(ValueError):
             grid_jacobian(region, (1, 5))
 
+    @pytest.mark.parametrize("y", [(1.5, 2.7, 3.9), (1.0, 2.0, 3.0), ("1", "2", "3")], ids=["fraction", "float", "string"])
+    def test_non_integer_multi_index_rejected(self, y):
+        # (1.5, 2.7, 3.9) was truncated to (1, 2, 3)
+        with pytest.raises(ValueError, match="multi-index entries must be integers"):
+            grid_jacobian(BallRegion((0.0, 0.0, 0.0), 1.0, (4, 4, 4)), y)
+
+    def test_numpy_integer_multi_index_accepted(self):
+        region = BallRegion((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
+        assert grid_jacobian(region, np.array([1, 2, 3])) == grid_jacobian(region, (1, 2, 3))
+
 
 class TestWeightedGramStructure:
     """Diagonal commutation-style structure of the jacobian-weighted Gram.

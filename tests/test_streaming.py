@@ -236,17 +236,52 @@ def test_one_row_at_1024_squared_stays_small(region):
     assert peak < 4 * 2**20
 
 
-def test_ball_limit_peaks_at_its_nodes_and_weights():
+@pytest.mark.parametrize("limit", [limit_gradient_ball, limit_gradient_box], ids=["ball", "box"])
+def test_limit_peaks_at_a_few_parts(limit):
     entry = get_field("affine3")
+    arg = 1.0 if limit is limit_gradient_ball else (1.0, 0.5, 2.0)
     spec = QuadratureSpec(96)
-    points, weights = ball_nodes(3, 1.0, spec)
-    held = points.nbytes + weights.nbytes
-    del points, weights
     tracemalloc.start()
     try:
-        limit_gradient_ball(entry.field, entry.anchor, 1.0, spec)
+        limit(entry.field, entry.anchor, arg, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the returned arrays plus one node block; one more m^n weight array would add 25 %
-    assert peak < 1.05 * held
+    # the whole rule's nodes and weights take 28.3 MB at 96^3; one part of 96^2 nodes takes 0.3 MB
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["ball", "box"])
+def test_limit_builds_its_nodes_once_per_part(kind, monkeypatch):
+    from simplexgrad import limits
+
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 2 * 5**2)
+    name = f"{kind}_nodes"
+    build, parts, points = getattr(limits, name), [], []
+
+    def counting_build(*args, **kwargs):
+        parts.append(kwargs.get("part", args[-1]))
+        return build(*args, **kwargs)
+
+    call = ScalarField.__call__
+
+    def counting_call(self, p):
+        points.append(len(np.atleast_2d(p)))
+        return call(self, p)
+
+    monkeypatch.setattr(limits, name, counting_build)
+    monkeypatch.setattr(ScalarField, "__call__", counting_call)
+    field = _smooth(3)
+    spec = QuadratureSpec(5)
+    if kind == "ball":
+        got = limits.ball_moment_vector(field, (0.1, 0.2, 0.3), 1.5, spec)
+        nodes, weights = ball_nodes(3, 1.5, spec)
+    else:
+        got = limits.box_moment_vector(field, (0.1, 0.2, 0.3), (1.0, 0.5, 2.0), spec)
+        nodes, weights = box_nodes((1.0, 0.5, 2.0), spec)
+    # whole radial (or x_1) slices of 25 nodes, two to a part, the last part partial
+    assert parts == [(0, 2), (2, 4), (4, 5)]
+    assert points == [1, 50, 50, 25]  # f(x0) once, then each part's nodes
+    f0 = field(np.array([[0.1, 0.2, 0.3]]))[0]
+    want = (weights * (field(nodes + (0.1, 0.2, 0.3)) - f0)) @ nodes
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
