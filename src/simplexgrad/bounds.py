@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import ball_gamma_ratio
-from .regions import _as_sample, sample_radius
+from .regions import _as_sample, _constant, _integer, _lengths, sample_radius
 
 __all__ = [
     "RankDeficiencyError",
@@ -79,8 +79,7 @@ def classical_bound(sample, grad_lipschitz: float) -> BoundReport:
     full-row-rank sample. ``grad_lipschitz`` must be valid on the ball of
     radius Delta about the reference point.
     """
-    if not 0 <= grad_lipschitz < math.inf:
-        raise ValueError("grad_lipschitz must be finite and nonnegative")
+    grad_lipschitz = _constant(grad_lipschitz, "grad_lipschitz")
     sample = _as_sample(sample)
     cols = sample.n_columns
     radius = sample_radius(sample)
@@ -103,13 +102,10 @@ def centered_bound(half_sample, hess_lipschitz: float, radius: float | None = No
     with ``Ahat = A / Delta``. ``hess_lipschitz`` must be valid on the
     ball of radius Delta about the reference point.
     """
-    if not 0 <= hess_lipschitz < math.inf:
-        raise ValueError("hess_lipschitz must be finite and nonnegative")
+    hess_lipschitz = _constant(hess_lipschitz, "hess_lipschitz")
     half_sample = _as_sample(half_sample)
     half_cols = half_sample.n_columns
-    delta = sample_radius(half_sample) if radius is None else float(radius)
-    if not 0 < delta < math.inf:
-        raise ValueError("radius must be finite and positive")
+    delta = _lengths((sample_radius(half_sample) if radius is None else radius,), "radius")[0]
     smin, smax = _min_max_singular(half_sample, delta)
     if smin <= 1e-12 * smax:
         raise RankDeficiencyError("half sample must have full row rank")
@@ -131,12 +127,9 @@ def limit_bound_box(d, grad_lipschitz: float) -> BoundReport:
     form ``(1/2)(2n+1) L Delta`` applies and becomes the report value; the
     general value is kept in the constants either way.
     """
-    if not 0 <= grad_lipschitz < math.inf:
-        raise ValueError("grad_lipschitz must be finite and nonnegative")
-    d = np.asarray(d, dtype=float).reshape(-1)
-    if d.size < 2 or np.any(d <= 0):
-        raise ValueError("side lengths must be positive and n >= 2")
-    n = d.size
+    grad_lipschitz = _constant(grad_lipschitz, "grad_lipschitz")
+    d = np.array(_lengths(np.ravel(d)))
+    n = _integer(d.size, "dimension", 2)
     radius = float(np.linalg.norm(d))
     d_min = float(np.min(d))
     general = 1.5 * math.sqrt(n) * grad_lipschitz * radius**2 / d_min
@@ -155,12 +148,9 @@ def limit_bound_ball(n: int, r: float, hess_lipschitz: float) -> BoundReport:
     constant. Zero for any field with constant Hessian, matching the exact
     recovery of gradients of quadratics.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0 < r < math.inf:
-        raise ValueError("radius must be finite and positive")
-    if not 0 <= hess_lipschitz < math.inf:
-        raise ValueError("hess_lipschitz must be finite and nonnegative")
+    n = _integer(n, "dimension", 2)
+    r = _lengths((r,), "radius")[0]
+    hess_lipschitz = _constant(hess_lipschitz, "hess_lipschitz")
     eta = ball_gamma_ratio(n)
     value = math.sqrt(n) / (3.0 * math.sqrt(math.pi)) * hess_lipschitz * eta * r**2
     return BoundReport(

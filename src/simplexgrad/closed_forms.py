@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gamma_half_integer
+from .regions import _integer, _integers, _lengths
 
 __all__ = [
     "GridGram",
@@ -28,14 +29,10 @@ __all__ = [
 
 
 def _check_counts_sublengths(counts, sublengths) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.asarray(counts, dtype=int).reshape(-1)
-    sublengths = np.asarray(sublengths, dtype=float).reshape(-1)
-    if counts.size != sublengths.size or counts.size < 2:
-        raise ValueError("counts and sublengths must have equal length >= 2")
-    if np.any(counts < 2):
-        raise ValueError("every subdivision count must be >= 2")
-    if np.any(sublengths <= 0):
-        raise ValueError("every cell side length must be positive")
+    counts = np.array(_integers(np.ravel(counts).tolist(), least=2))
+    sublengths = np.array(_lengths(np.ravel(sublengths), "cell side lengths"))
+    if _integer(counts.size, "dimension", 2) != sublengths.size:
+        raise ValueError("counts and sublengths must have equal length")
     return counts, sublengths
 
 
@@ -105,10 +102,8 @@ def dense_limit_matrix(d) -> DenseLimitMatrix:
     Diagonal entries ``12(3n-2) / (d_i^2 (3n+1))``, off-diagonal entries
     ``-36 / (d_i d_j (3n+1))``.
     """
-    d = np.asarray(d, dtype=float).reshape(-1)
-    if d.size < 2 or np.any(d <= 0):
-        raise ValueError("side lengths must be positive and n >= 2")
-    normalized = _normalized_limit(d.size)
+    d = np.array(_lengths(np.ravel(d)))
+    normalized = _normalized_limit(_integer(d.size, "dimension", 2))
     inv_d = 1.0 / d
     matrix = normalized * np.outer(inv_d, inv_d)
     return DenseLimitMatrix(tuple(map(float, d)), matrix, normalized)
@@ -116,16 +111,13 @@ def dense_limit_matrix(d) -> DenseLimitMatrix:
 
 def ball_volume(dim: int, r: float = 1.0) -> float:
     """Volume pi^{dim/2} r^dim / Gamma(dim/2 + 1) of a ball in ``dim`` dimensions."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    dim = _integer(dim, "dimension", 1)
+    r = _lengths((r,), "radius")[0]
     return math.pi ** (dim / 2.0) * r**dim / gamma_half_integer(dim + 2)
 
 
 def ball_gamma_ratio(n: int) -> float:
     """Gamma((n+4)/2) / (sqrt(pi) Gamma((n+3)/2)); appears in the ball error bound."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer(n, "dimension", 1)
     return gamma_half_integer(n + 4) / (math.sqrt(math.pi) * gamma_half_integer(n + 3))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -28,7 +27,10 @@ from .regions import (
     HyperrectRegion,
     SampleMatrix,
     _check_budget,
+    _finite,
+    _integer,
     _integers,
+    _lengths,
     _polar_grid,
     ball_grid_sample,
     rect_arbitrary_sample,
@@ -218,21 +220,10 @@ class ExperimentConfig:
             raise ValueError("schedule must be nonempty")
         entry = get_field(self.field_id)  # raises for unknown ids
         dim = entry.field.dim
-        x0 = entry.anchor if self.x0 is None else self.x0
-        object.__setattr__(self, "x0", tuple(float(v) for v in x0))
-        sides = (1.0,) * dim if self.sides is None else self.sides
-        object.__setattr__(self, "sides", tuple(float(v) for v in sides))
         # rejected here too, before the limit quadrature runs on them
-        if not all(math.isfinite(v) for v in self.sides):
-            raise ValueError("side lengths must be finite")
-        if any(v <= 0 for v in self.sides):
-            raise ValueError("side lengths must be positive")
-        if not math.isfinite(self.radius):
-            raise ValueError("radius must be finite")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if not all(math.isfinite(v) for v in self.x0):
-            raise ValueError("x0 must be finite")
+        object.__setattr__(self, "sides", _lengths((1.0,) * dim if self.sides is None else self.sides))
+        object.__setattr__(self, "radius", _lengths((self.radius,), "radius")[0])
+        object.__setattr__(self, "x0", _finite(entry.anchor if self.x0 is None else self.x0, "x0"))
         if len(self.x0) != dim:
             raise ValueError(f"x0 must have {dim} entries for field {self.field_id}, got {len(self.x0)}")
         if self.region == "rect" and len(self.sides) != dim:
@@ -242,14 +233,9 @@ class ExperimentConfig:
         for counts in self.schedule:
             if len(counts) != dim:
                 raise ValueError(f"schedule rows must have {dim} counts for field {self.field_id}, got {tuple(counts)}")
-            if min(_integers(counts)) < least:
-                raise ValueError(f"{self.region} subdivision counts must be >= {least}, got {tuple(counts)}")
-            _check_budget(math.prod(counts))
+            _check_budget(math.prod(_integers(counts, f"{self.region} subdivision counts", least)))
         QuadratureSpec(self.nodes)  # rejects a non-integer node count or one below 2
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        seed = _integer(self.seed, "seed")
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
         object.__setattr__(self, "seed", seed)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import pseudoinverse
-from .regions import _as_sample, sample_radius
+from .regions import _as_sample, _integer, sample_radius
 
 __all__ = [
     "EvaluationError",
@@ -65,6 +65,9 @@ class ScalarField:
     grad: Callable | None = None
     hess: Callable | None = None
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension", 1))
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)

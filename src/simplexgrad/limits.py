@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import ball_volume, dense_limit_matrix
-from .gsg import EvaluationError, ScalarField, _increments
-from .quadrature import QuadratureSpec, ball_nodes, box_nodes
-from .regions import _block_bounds
+from .gsg import EvaluationError, ScalarField, _increments, _quiet_overflow
+from .quadrature import QuadratureSpec, _parts, ball_nodes, box_nodes
 
 __all__ = [
     "CapabilityError",
@@ -52,28 +51,31 @@ class LimitGradientResult:
     nodes_per_axis: int
 
 
-def _moments(field: ScalarField, x0, m: int, build) -> np.ndarray:
-    """``sum_j w_j (f(x0 + p_j) - f(x0)) p_j`` over an ``m``-per-axis rule, built and summed part by part.
+def _moments(field: ScalarField, x0, m: int, build, *terms) -> np.ndarray:
+    """Rows ``sum_j w_j t(p_j) p_j`` over an ``m``-per-axis rule, built and summed part by part.
 
-    ``build(part)`` returns one part's nodes and weights. The parts are as
-    many whole first-axis slices as fit in ``BLOCK_COLUMNS`` nodes, and at
-    least one, so no ``m^n`` array is formed. f(x0) is evaluated once.
+    Row 0 is the moment vector T, with t the increment ``f(x0 + p) - f(x0)``;
+    each of ``terms`` maps a part's (b, n) nodes to the t of one more row,
+    summed on the same walk, so each node is built and evaluated once.
+    ``build(part)`` returns one part's nodes and weights (see
+    ``quadrature._parts``). f(x0) is evaluated once.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    moments = np.zeros(field.dim)
+    moments = np.zeros((1 + len(terms), field.dim))
     weights = []  # each part's weights, popped below: _increments consumes one block per yield
 
     def blocks():
-        start = 0
-        for part in _block_bounds(m, m ** (field.dim - 1)):
-            points, w = build(part)
+        for start, points, w in _parts(field.dim, m, build):
             weights.append(w)
             yield start, points.T
-            start += w.size
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet_overflow():
         for _, block, increments in _increments(field, x0, blocks(), unit="node"):
-            moments += (weights.pop() * increments) @ block.T
+            w = weights.pop()
+            moments[0] += (w * increments) @ block.T
+            for row, term in zip(moments[1:], terms):
+                row += (w * term(block.T)) @ block.T
+            del w  # freed before the next part is built: held, a 128^3 ball limit faulted in ~150 more pages a call
     if not np.isfinite(moments).all():
         raise EvaluationError(-1, x0, f"moments overflow: {moments}", unit="node")
     return moments
@@ -81,12 +83,12 @@ def _moments(field: ScalarField, x0, m: int, build) -> np.ndarray:
 
 def box_moment_vector(field: ScalarField, x0, d, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Moments ``integral of x_i (f(x0+x) - f(x0))`` over ``[0,d_1]x...x[0,d_n]``."""
-    return _moments(field, x0, spec.nodes_per_axis, lambda part: box_nodes(d, spec, part))
+    return _moments(field, x0, spec.nodes_per_axis, lambda part: box_nodes(d, spec, part))[0]
 
 
 def ball_moment_vector(field: ScalarField, x0, r: float, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Moments ``integral of x_i (f(x0+x) - f(x0))`` over the ball of radius r."""
-    return _moments(field, x0, spec.nodes_per_axis, lambda part: ball_nodes(field.dim, r, spec, part))
+    return _moments(field, x0, spec.nodes_per_axis, lambda part: ball_nodes(field.dim, r, spec, part))[0]
 
 
 def limit_gradient_box(field: ScalarField, x0, d, spec: QuadratureSpec = QuadratureSpec()) -> LimitGradientResult:
@@ -142,7 +144,8 @@ def taylor_diagnostics(
     * z: ball only -- moments of the second-order remainder, computed by
       subtraction ``T - v - w`` (the remainder has no closed form).
 
-    Requires an analytic gradient (and, for the ball split, a Hessian).
+    Requires an analytic gradient (and, for the ball split, a Hessian). v
+    and w are summed beside T on T's one walk over the quadrature's parts.
     """
     if (d is None) == (r is None):
         raise ValueError("exactly one of d (box) or r (ball) must be given")
@@ -150,16 +153,13 @@ def taylor_diagnostics(
         raise CapabilityError("taylor_diagnostics requires an analytic gradient")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     g = field.gradient(x0)
+    m = spec.nodes_per_axis
     if d is not None:
-        points, weights = box_nodes(np.asarray(d, dtype=float), spec)
-        v = (weights * (points @ g)) @ points
-        return {"v": v, "w": box_moment_vector(field, x0, d, spec) - v}
+        t, v = _moments(field, x0, m, lambda part: box_nodes(d, spec, part), lambda p: p @ g)
+        return {"v": v, "w": t - v}
     if field.hess is None:
         raise CapabilityError("the ball split requires an analytic Hessian")
-    points, weights = ball_nodes(field.dim, float(r), spec)
-    linear = points @ g
-    v = (weights * linear) @ points
     h = field.hessian(x0)
-    curvature = 0.5 * np.einsum("mi,ij,mj->m", points, h, points)
-    w = (weights * curvature) @ points
-    return {"v": v, "w": w, "z": ball_moment_vector(field, x0, float(r), spec) - v - w}
+    linear, curvature = (lambda p: p @ g), (lambda p: 0.5 * np.einsum("mi,ij,mj->m", p, h, p))
+    t, v, w = _moments(field, x0, m, lambda part: ball_nodes(field.dim, r, spec, part), linear, curvature)
+    return {"v": v, "w": w, "z": t - v - w}

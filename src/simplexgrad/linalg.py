@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .regions import _integer
+
 __all__ = [
     "pseudoinverse",
     "spectral_norm",
@@ -55,9 +57,7 @@ def gamma_half_integer(two_k: int) -> float:
     Built from Gamma(1) = 1, Gamma(1/2) = sqrt(pi) and the recurrence
     Gamma(x + 1) = x Gamma(x); no series approximation is involved.
     """
-    two_k = int(two_k)
-    if two_k <= 0:
-        raise ValueError("two_k must be a positive integer")
+    two_k = _integer(two_k, "two_k", 1)
     if two_k % 2 == 0:
         return float(math.factorial(two_k // 2 - 1))
     value = math.sqrt(math.pi)

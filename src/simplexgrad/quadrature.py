@@ -17,7 +17,7 @@ import numpy as np
 
 from .gsg import ScalarField
 from .linalg import gamma_half_integer
-from .regions import _along, _check_budget, _integers, _spherical_map, _trig
+from .regions import _along, _block_bounds, _check_budget, _integer, _integers, _lengths, _spherical_map, _trig
 
 __all__ = [
     "QuadratureSpec",
@@ -37,12 +37,7 @@ class QuadratureSpec:
     nodes_per_axis: int = 32
 
     def __post_init__(self):
-        try:
-            operator.index(self.nodes_per_axis)
-        except TypeError:
-            raise ValueError(f"nodes_per_axis must be an integer, got {self.nodes_per_axis!r}") from None
-        if self.nodes_per_axis < 2:
-            raise ValueError("nodes_per_axis must be at least 2")
+        object.__setattr__(self, "nodes_per_axis", _integer(self.nodes_per_axis, "nodes_per_axis", 2))
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -96,13 +91,9 @@ def box_nodes(d, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np
     ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
     ``DEFAULT_COLUMN_BUDGET``.
     """
-    d = np.asarray(d, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("side lengths must be finite")
-    if d.size < 1 or np.any(d <= 0):
-        raise ValueError("side lengths must all be positive")
+    d = np.array(_lengths(np.ravel(d)))
     m = spec.nodes_per_axis
-    _check_budget(m**d.size, "quadrature nodes")
+    _check_budget(m ** _integer(d.size, "dimension", 1), "quadrature nodes")
     lo, hi = _part(part, m)
     (q, w), *rest = [_gl_axis(0.0, di, m) for di in d]
     axes = [(q[lo:hi], w[lo:hi])] + rest
@@ -146,16 +137,12 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=N
     part and ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
     ``DEFAULT_COLUMN_BUDGET``.
     """
-    if n < 2:
-        raise ValueError("ball quadrature requires dimension >= 2")
-    if not math.isfinite(r):
-        raise ValueError("radius must be finite")
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    n = _integer(n, "dimension", 2)
+    r = _lengths((r,), "radius")[0]
     m = spec.nodes_per_axis
     _check_budget(m**n, "quadrature nodes")
     lo, hi = _part(part, m)
-    rho, theta, phis, ws, (radial, *polar) = _ball_axes(n, float(r), m)
+    rho, theta, phis, ws, (radial, *polar) = _ball_axes(n, r, m)
     points = np.empty((hi - lo,) + (m,) * (n - 1) + (n,))
     _spherical_map(rho[lo:hi], theta, phis, np.moveaxis(points, -1, 0))
     jac = radial[lo:hi]
@@ -166,12 +153,32 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=N
     return points.reshape(-1, n), weights.reshape(-1)
 
 
-def _evaluate(g, points: np.ndarray) -> np.ndarray:
-    vals = ScalarField(points.shape[1], g)(points)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"integrand returned a non-finite value at node {bad}: {points[bad]}")
-    return vals
+def _parts(n: int, m: int, build):
+    """Yield ``(start, points, weights)`` for each part of an ``m``-per-axis rule in ``n`` dimensions.
+
+    ``build(part)`` returns one part's nodes and weights, and ``start`` is
+    the index of its first node in the whole rule. The parts are as many
+    whole first-axis slices as fit in ``BLOCK_COLUMNS`` nodes, and at least
+    one (``_block_bounds``), so no ``m^n`` array is formed.
+    """
+    start = 0
+    for part in _block_bounds(m, m ** (n - 1)):
+        points, weights = build(part)
+        yield start, points, weights
+        start += weights.size
+
+
+def _integrate(g, n: int, m: int, build) -> float:
+    """``sum_j w_j g(p_j)`` over the parts of an ``m``-per-axis rule (see ``_parts``)."""
+    field = ScalarField(n, g)
+    total = 0.0
+    for start, points, weights in _parts(n, m, build):
+        vals = field(points)
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise ValueError(f"integrand returned a non-finite value at node {start + bad}: {points[bad]}")
+        total += weights @ vals
+    return float(total)
 
 
 def integrate_box(g, d, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -179,16 +186,14 @@ def integrate_box(g, d, spec: QuadratureSpec = QuadratureSpec()) -> float:
 
     ``g`` may be vectorized (accepting an (m, n) array) or scalar-valued on
     single points. Exact for polynomials of per-axis degree up to
-    ``2 * nodes_per_axis - 1``.
+    ``2 * nodes_per_axis - 1``. The rule is built and summed part by part.
     """
-    points, weights = box_nodes(d, spec)
-    return float(weights @ _evaluate(g, points))
+    return _integrate(g, np.size(d), spec.nodes_per_axis, lambda part: box_nodes(d, spec, part))
 
 
 def integrate_ball(g, n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of ``g`` over the ball of radius ``r`` centered at the origin."""
-    points, weights = ball_nodes(n, r, spec)
-    return float(weights @ _evaluate(g, points))
+    """Integral of ``g`` over the ball of radius ``r`` centered at the origin, summed part by part."""
+    return _integrate(g, n, spec.nodes_per_axis, lambda part: ball_nodes(n, r, spec, part))
 
 
 def _even_surface_factor(alpha: np.ndarray) -> float:
@@ -199,29 +204,27 @@ def _even_surface_factor(alpha: np.ndarray) -> float:
     return num / gamma_half_integer(int(round(2 * beta.sum())))
 
 
+def _abs_monomial(alpha, n: int, r: float) -> tuple[np.ndarray, float]:
+    """The checked exponents, and the exact integral of ``|x_1|^a1 ... |x_n|^an`` over the ball."""
+    n = _integer(n, "dimension", 1)
+    alpha = np.asarray(_integers(np.ravel(alpha).tolist(), "exponents", 0))
+    if alpha.size != n:
+        raise ValueError("alpha must have one exponent per dimension")
+    r = _lengths((r,), "radius")[0]
+    total = int(alpha.sum())
+    return alpha, r ** (total + n) / (total + n) * _even_surface_factor(alpha)
+
+
 def monomial_ball_integral(alpha, n: int, r: float = 1.0) -> float:
     """Exact integral of ``x^alpha`` over the ball of radius ``r`` in n dims.
 
     Zero when any exponent is odd; otherwise a closed form in gamma values
     at half-integers.
     """
-    alpha = np.asarray(_integers(np.ravel(alpha).tolist(), "exponents"))
-    if alpha.size != n:
-        raise ValueError("alpha must have one exponent per dimension")
-    if np.any(alpha < 0):
-        raise ValueError("exponents must be nonnegative")
-    if np.any(alpha % 2 == 1):
-        return 0.0
-    total = int(alpha.sum())
-    return r ** (total + n) / (total + n) * _even_surface_factor(alpha)
+    alpha, value = _abs_monomial(alpha, n, r)
+    return 0.0 if np.any(alpha % 2 == 1) else value
 
 
 def abs_monomial_ball_integral(alpha, n: int, r: float = 1.0) -> float:
     """Exact integral of ``|x_1|^a1 ... |x_n|^an`` over the ball of radius ``r``."""
-    alpha = np.asarray(_integers(np.ravel(alpha).tolist(), "exponents"))
-    if alpha.size != n:
-        raise ValueError("alpha must have one exponent per dimension")
-    if np.any(alpha < 0):
-        raise ValueError("exponents must be nonnegative")
-    total = int(alpha.sum())
-    return r ** (total + n) / (total + n) * _even_surface_factor(alpha)
+    return _abs_monomial(alpha, n, r)[1]

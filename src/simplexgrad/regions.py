@@ -61,22 +61,12 @@ class HyperrectRegion:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        object.__setattr__(self, "d", tuple(float(v) for v in self.d))
-        object.__setattr__(self, "counts", _integers(self.counts))
-        n = len(self.x0)
-        if n < 2:
-            raise ValueError("dimension must be >= 2")
+        object.__setattr__(self, "x0", _finite(self.x0, "x0"))
+        object.__setattr__(self, "d", _lengths(self.d))
+        object.__setattr__(self, "counts", _integers(self.counts, least=2))
+        n = _integer(len(self.x0), "dimension", 2)
         if len(self.d) != n or len(self.counts) != n:
             raise ValueError("x0, d and counts must have matching lengths")
-        if any(not math.isfinite(v) for v in self.x0):
-            raise ValueError("x0 must be finite")
-        if any(not math.isfinite(v) for v in self.d):
-            raise ValueError("side lengths must be finite")
-        if any(v <= 0 for v in self.d):
-            raise ValueError("side lengths must be positive")
-        if any(c < 2 for c in self.counts):
-            raise ValueError("subdivision counts must be >= 2")
 
     @property
     def dim(self) -> int:
@@ -105,22 +95,11 @@ class BallRegion:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "counts", _integers(self.counts))
-        n = len(self.x0)
-        if n < 2:
-            raise ValueError("dimension must be >= 2")
-        if len(self.counts) != n:
+        object.__setattr__(self, "x0", _finite(self.x0, "x0"))
+        object.__setattr__(self, "r", _lengths((self.r,), "radius")[0])
+        object.__setattr__(self, "counts", _integers(self.counts, least=3))
+        if len(self.counts) != _integer(len(self.x0), "dimension", 2):
             raise ValueError("counts must have one entry per dimension")
-        if any(not math.isfinite(v) for v in self.x0):
-            raise ValueError("x0 must be finite")
-        if not math.isfinite(self.r):
-            raise ValueError("radius must be finite")
-        if self.r <= 0:
-            raise ValueError("radius must be positive")
-        if any(c < 3 for c in self.counts):
-            raise ValueError("subdivision counts must be >= 3")
 
     @property
     def dim(self) -> int:
@@ -304,12 +283,53 @@ def _block_bounds(slices: int, width: int):
         yield lo, min(lo + step, slices)
 
 
-def _integers(values, what: str = "subdivision counts") -> tuple[int, ...]:
-    """``values`` as a tuple of ints; ``ValueError`` for any that is not an integer (2.5, 4.0, "4")."""
+# The input checks: each returns its input converted (operator.index, float) and raises
+# ValueError with one message per kind. They run once per call, never per column or node.
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int; ``ValueError`` if it is not an integer (2.5, 4.0, "4") or is below ``least``."""
     try:
-        return tuple(operator.index(v) for v in values)
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}")
+    return value
+
+
+def _integers(values, what: str = "subdivision counts", least: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ``ValueError`` for any that is not an integer or is below ``least``."""
+    try:
+        ints = tuple(operator.index(v) for v in values)
     except TypeError:
         raise ValueError(f"{what} must be integers, got {tuple(values)}") from None
+    if least is not None and any(v < least for v in ints):
+        raise ValueError(f"{what} must be >= {least}, got {ints}")
+    return ints
+
+
+def _finite(values, what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; ``ValueError`` unless every one is finite."""
+    values = tuple(values)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite")
+    return tuple(float(v) for v in values)
+
+
+def _lengths(values, what: str = "side lengths") -> tuple[float, ...]:
+    """``values`` (side lengths, or a radius as ``(r,)``) as a tuple of finite, positive floats."""
+    values = _finite(values, what)
+    if any(v <= 0 for v in values):
+        raise ValueError(f"{what} must be positive")
+    return values
+
+
+def _constant(value, what: str) -> float:
+    """``value`` (a Lipschitz constant) as a float; ``ValueError`` unless it is finite and nonnegative."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and nonnegative")
+    return float(value)
 
 
 def _check_budget(n_cells: int, unit: str = "columns") -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,21 @@ class TestCli:
         code = main(["convergence", "--field", "quad2", "--schedule", "4", "--nodes", "8", *args])
         assert code == 2
         assert capsys.readouterr().err == message
+
+    def test_bound_violation_exits_one_and_still_writes_the_csv(self, capsys, tmp_path, monkeypatch):
+        bound = experiments.classical_bound
+        # a zero classical bound sits below every row's nonzero error
+        monkeypatch.setattr(experiments, "classical_bound", lambda *args: replace(bound(*args), value=0.0))
+        out = tmp_path / "rect.csv"
+        code = main(["convergence", "--field", "cubic2", "--region", "rect", "--schedule", "4,8", "--nodes", "8",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "bound domination violated\n"
+        rows = out.read_text().splitlines()[-2:]
+        assert [row.split(",")[:3] + row.split(",")[5:6] for row in rows] == [
+            ["0", "4x4", "16", "0.0"],
+            ["1", "8x8", "64", "0.0"],
+        ]
 
     def test_negative_seed_is_rejected(self, capsys, tmp_path):
         out = tmp_path / "out.csv"

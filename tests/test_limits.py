@@ -174,6 +174,15 @@ class TestTaylorDiagnostics:
         with pytest.raises(CapabilityError):
             taylor_diagnostics(no_hess, (0.0, 0.0), r=1.0)
 
+    @pytest.mark.parametrize(
+        "x0, region",
+        [((1.0, 1.0, 1.0), {"d": (1.0, 1.0)}), ((1.0, 1.0), {"d": (1.0, 1.0, 1.0)}), ((1.0, 1.0, 1.0), {"r": 1.0})],
+        ids=["box-x0", "box-d", "ball-x0"],
+    )
+    def test_wrong_lengths_raise_as_the_limits_do(self, x0, region):
+        with pytest.raises(ValueError, match="points must have 2 components"):
+            taylor_diagnostics(CUBIC2, x0, spec=QuadratureSpec(8), **region)
+
     def test_requires_exactly_one_region(self):
         with pytest.raises(ValueError):
             taylor_diagnostics(QUAD2, (0.0, 0.0), d=(1.0, 1.0), r=1.0)

@@ -12,8 +12,8 @@ from simplexgrad.bounds import centered_bound, classical_bound
 from simplexgrad.experiments import ExperimentConfig, antipodal_half, convergence
 from simplexgrad.fields import get_field
 from simplexgrad.gsg import EvaluationError, ScalarField, function_increments, simplex_gradient
-from simplexgrad.limits import limit_gradient_ball, limit_gradient_box
-from simplexgrad.quadrature import QuadratureSpec, ball_nodes, box_nodes
+from simplexgrad.limits import limit_gradient_ball, limit_gradient_box, taylor_diagnostics
+from simplexgrad.quadrature import QuadratureSpec, ball_nodes, box_nodes, integrate_ball, integrate_box
 from simplexgrad.regions import (
     BallRegion,
     HyperrectRegion,
@@ -141,6 +141,16 @@ def test_later_node_block_names_the_global_node(monkeypatch):
         limit_gradient_box(field, (0.0, 0.0), (1.0, 1.0), spec)
 
 
+def test_later_integrand_part_names_the_global_node(monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 7)
+    spec = QuadratureSpec(8)
+    points, _ = box_nodes((1.0, 1.0), spec)
+    first = int(np.argmax(points[:, 0] > 0.5))
+    assert first >= 8  # not in the first part
+    with pytest.raises(ValueError, match=rf"non-finite value at node {first}: "):
+        integrate_box(lambda x: np.where(x[:, 0] > 0.5, np.inf, 1.0), (1.0, 1.0), spec)
+
+
 def test_blocked_moments_agree_with_one_block(monkeypatch):
     field = _smooth(2)
     whole = limit_gradient_box(field, (0.2, 0.1), (1.0, 2.0), QuadratureSpec(16)).estimate
@@ -248,6 +258,28 @@ def test_limit_peaks_at_a_few_parts(limit):
     finally:
         tracemalloc.stop()
     # the whole rule's nodes and weights take 28.3 MB at 96^3; one part of 96^2 nodes takes 0.3 MB
+    assert peak < 4 * 2**20
+
+
+_SPLITS_AND_INTEGRALS = {
+    "ball-split": lambda f, x0, spec: taylor_diagnostics(f, x0, r=1.0, spec=spec),
+    "box-split": lambda f, x0, spec: taylor_diagnostics(f, x0, d=(1.0, 0.5, 2.0), spec=spec),
+    "integrate-ball": lambda f, x0, spec: integrate_ball(lambda x: x[:, 0] ** 2, 3, 1.0, spec),
+    "integrate-box": lambda f, x0, spec: integrate_box(lambda x: x[:, 0] ** 2, (1.0, 0.5, 2.0), spec),
+}
+
+
+@pytest.mark.parametrize("run", _SPLITS_AND_INTEGRALS.values(), ids=_SPLITS_AND_INTEGRALS.keys())
+def test_taylor_split_and_integrals_peak_at_a_few_parts(run):
+    entry = get_field("affine3")
+    spec = QuadratureSpec(96)
+    tracemalloc.start()
+    try:
+        run(entry.field, entry.anchor, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # built as the whole rule, these peaked at 47.9 MiB (ball split), 33.8 MiB (box split) and 34.6 MiB (each integral)
     assert peak < 4 * 2**20
 
 
