@@ -45,45 +45,20 @@ class BoundReport:
     constants: dict = field(default_factory=dict)
 
 
-# The Gram route is taken only while cond(S) <= 1e3, where sqrt(lambda_min) has a
-# relative error of about cond(S)^2 eps <= 1e-10 (Higham, ch. 20). Worse-conditioned
-# samples, rank-deficient ones included, take the SVD of S / delta.
-_GRAM_ROUTE_MIN_RATIO = 1e-6
-
-
-def _min_max_singular(sample, delta: float) -> tuple[float, float]:
-    """Smallest and largest of the n singular values of ``S / delta``.
-
-    Read from the sample's shared Gram spectrum when S is well
-    conditioned, else from an SVD of the full direction array. A sample
-    with fewer columns than rows has sigma_min = 0, which the SVD, giving
-    only min(n, N) values, does not return. Raises ``ValueError`` for an
-    empty sample.
-    """
-    if sample.n_columns == 0:
-        raise ValueError("sample matrix is empty")
-    _, eigvals = sample.gram_spectrum
-    lo, hi = float(eigvals[0]), float(eigvals[-1])
-    if hi > 0 and lo >= _GRAM_ROUTE_MIN_RATIO * hi:
-        return math.sqrt(lo) / delta, math.sqrt(hi) / delta
-    sv = np.linalg.svd(sample.directions / delta, compute_uv=False)
-    smin = float(sv[-1]) if sample.n_columns >= sample.dim else 0.0
-    return smin, float(sv[0])
-
-
 def classical_bound(sample, grad_lipschitz: float) -> BoundReport:
     """Finite-sample bound ``(sqrt(N)/2) L |pinv(Shat^T)| Delta``.
 
     ``Shat`` is the sample scaled by its radius Delta (largest column
     norm); ``|pinv(Shat^T)|`` equals ``1 / sigma_min(Shat)`` for a
-    full-row-rank sample. ``grad_lipschitz`` must be valid on the ball of
-    radius Delta about the reference point.
+    full-row-rank sample, with sigma_min(Shat) = sigma_min(S) / Delta from
+    the sample's ``singular_range``. ``grad_lipschitz`` must be valid on
+    the ball of radius Delta about the reference point.
     """
     grad_lipschitz = _constant(grad_lipschitz, "grad_lipschitz")
     sample = _as_sample(sample)
     cols = sample.n_columns
     radius = sample_radius(sample)
-    smin, smax = _min_max_singular(sample, radius)
+    smin, smax = (sv / radius for sv in sample.singular_range)
     if smin <= 1e-12 * smax:
         raise RankDeficiencyError("sample matrix must have full row rank")
     value = math.sqrt(cols) / 2.0 * grad_lipschitz * (1.0 / smin) * radius
@@ -106,7 +81,7 @@ def centered_bound(half_sample, hess_lipschitz: float, radius: float | None = No
     half_sample = _as_sample(half_sample)
     half_cols = half_sample.n_columns
     delta = _lengths((sample_radius(half_sample) if radius is None else radius,), "radius")[0]
-    smin, smax = _min_max_singular(half_sample, delta)
+    smin, smax = (sv / delta for sv in half_sample.singular_range)
     if smin <= 1e-12 * smax:
         raise RankDeficiencyError("half sample must have full row rank")
     cols = 2 * half_cols

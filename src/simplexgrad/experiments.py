@@ -310,7 +310,7 @@ def antipodal_half(sample: SampleMatrix) -> SampleMatrix:
     columns once S's are known (reading them here walks S if nothing has
     yet). Like every sample it is read through ``SampleMatrix``'s one block
     function, which fills the half-turn's columns only when something reads
-    them (the SVD fallback of ``centered_bound``, ``to_csv``).
+    them (the SVD route of its ``singular_range``, ``to_csv``).
     """
     if sample.tag != "ball-grid" or sample.dim != 2:
         raise ValueError("mirrored structure is only extracted from 2-d ball grids")

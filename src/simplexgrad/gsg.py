@@ -114,8 +114,9 @@ class GradientEstimate:
     """Gradient estimate with the context needed to audit it.
 
     ``route`` is the solve that produced it (``"normal-equations"`` or
-    ``"svd"``) and ``cond`` is ``sqrt(lambda_max / lambda_min)`` of the
-    sample's Gram matrix, i.e. cond(S), infinite when lambda_min <= 0.
+    ``"svd"``) and ``cond`` is cond(S) = sigma_max / sigma_min from the
+    sample's ``singular_range``, infinite when sigma_min = 0 (S rank
+    deficient, or with fewer columns than rows).
     """
 
     estimate: np.ndarray
@@ -225,7 +226,9 @@ def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
     fresh sample is read once and no n x N array is formed. The route is
     picked after that walk, from the sample's shared ``gram_spectrum``; a
     sample whose Gram turns out singular takes the SVD route, which forms
-    the direction array and evaluates the field a second time.
+    a transient direction array and evaluates the field a second time.
+    ``cond`` is read from ``singular_range``, as the bounds read it. An
+    empty sample raises ``ValueError``.
     """
     sample = _as_sample(sample)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -237,15 +240,15 @@ def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
         s_df = np.zeros(n)
         for _, block, increments in _increments(field, x0, sample._walk()):
             s_df += block @ increments
+    smin, smax = sample.singular_range
     gram, eigvals = sample.gram_spectrum
-    cond = math.sqrt(eigvals[-1] / eigvals[0]) if eigvals[0] > 0 else math.inf
     cutoff = (max(n, cols) * np.finfo(float).eps) ** 2 * max(eigvals[-1], 0.0)
     if s_df is not None and eigvals[0] > cutoff:
         estimate = np.linalg.solve(gram.T, s_df)
         route = "normal-equations"
     else:
         # fewer columns than rows or a singular Gram: SVD pseudoinverse route, evaluating again
-        estimate = pseudoinverse(sample.directions).T @ function_increments(field, x0, sample)
+        estimate = pseudoinverse(sample._block(0, sample._shape[0])).T @ function_increments(field, x0, sample)
         route = "svd"
     true_grad = None
     error = None
@@ -260,5 +263,5 @@ def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
         true_gradient=true_grad,
         error=error,
         route=route,
-        cond=cond,
+        cond=smax / smin if smin > 0 else math.inf,
     )

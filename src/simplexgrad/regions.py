@@ -130,10 +130,12 @@ class SampleMatrix:
     least one; ``_block_bounds`` holds that rule, and the limit quadrature
     cuts its nodes into parts by it too.
     One walk (``_walk``) sums the radius and ``S S^T`` while it yields the
-    blocks and keeps both in ``_sums`` when it ends; the radius and the
-    Gram spectrum, shared by the estimator and the bounds, are read from
-    there. The estimator sums ``S df`` on the same walk, so a fresh sample
-    is read once; a bound or ``radius`` read first runs the walk alone.
+    blocks and keeps both in ``_sums`` when it ends; the radius, the Gram
+    spectrum and ``singular_range``, the one reader of S's singular values
+    for the estimator's cond and the bounds, are read from there (an
+    ill-conditioned S adds one SVD). The estimator sums ``S df`` on the
+    same walk, so a fresh sample is read once; a bound or ``radius`` read
+    first runs the walk alone.
     Each block's sums are the same operations in the same order either
     way, so the radius, the Gram and the estimate are bitwise the same
     whichever consumer walks first, and whether or not the arrays were ever
@@ -244,6 +246,25 @@ class SampleMatrix:
         gram.flags.writeable = False
         eigvals.flags.writeable = False
         return gram, eigvals
+
+    @cached_property
+    def singular_range(self) -> tuple[float, float]:
+        """``(sigma_min, sigma_max)`` of the n singular values of S.
+
+        Read from the Gram spectrum while cond(S) <= 1e3, where sqrt(lambda_min)
+        is off by about cond(S)^2 eps <= 1e-10 relative (Higham, ch. 20); else
+        from one SVD of a transient n x N array, so ``directions`` stays
+        uncached. sigma_min is 0 when S has fewer columns than rows (the SVD
+        gives only N values). Raises ``ValueError`` for an empty sample.
+        """
+        if self.n_columns == 0:
+            raise ValueError("sample matrix is empty")
+        _, eigvals = self.gram_spectrum
+        lo, hi = float(eigvals[0]), float(eigvals[-1])
+        if hi > 0 and lo >= 1e-6 * hi:
+            return math.sqrt(lo), math.sqrt(hi)
+        sv = np.linalg.svd(self._block(0, self._shape[0]), compute_uv=False)
+        return (float(sv[-1]) if self.n_columns >= self.dim else 0.0), float(sv[0])
 
     def to_csv(self, out=None) -> str:
         """Serialize as CSV: n/N/tag header, then one row per column.

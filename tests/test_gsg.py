@@ -231,3 +231,20 @@ class TestRouteAndConditioning:
         assert est.cond > 1e7
         assert np.allclose(est.estimate, pseudoinverse(s).T @ function_increments(QUAD2, (3.0, 1.0), s))
 
+    def test_fewer_columns_than_rows_is_infinitely_ill_conditioned(self):
+        # sigma_min = 0 here, as the bounds take it; the Gram's round-off eigenvalue gave 2.76e8
+        field = ScalarField(3, lambda x: x.sum(axis=1))
+        est = simplex_gradient(field, (0.0, 0.0, 0.0), [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert est.route == "svd"
+        assert est.cond == np.inf
+
+    def test_thin_box_cond_is_from_the_svd(self):
+        sample = rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 1e-8), (8, 8)))
+        est = simplex_gradient(QUAD2, (0.0, 0.0), sample)
+        sv = np.linalg.svd(np.array(sample.directions), compute_uv=False)
+        assert est.cond == sv[0] / sv[-1]
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="sample matrix is empty"):
+            simplex_gradient(QUAD2, (3.0, 1.0), np.zeros((2, 0)))
+

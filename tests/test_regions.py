@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -316,7 +317,33 @@ class TestSharedSpectrum:
             arbitrary.directions[:, 0] *= 2.0
 
 
+class TestSingularRange:
+    @pytest.mark.parametrize("d", [(12.0, 6.0), (1.0, 1e-8)], ids=["gram", "svd"])
+    def test_matches_the_svd_of_s(self, d):
+        sample = rect_grid_sample(HyperrectRegion((0.0, 0.0), d, (8, 8)))
+        smin, smax = sample.singular_range
+        assert "directions" not in vars(sample)  # the SVD route reads a transient array
+        sv = np.linalg.svd(np.array(sample.directions), compute_uv=False)
+        assert smin == pytest.approx(sv[-1], rel=1e-10)
+        assert smax == pytest.approx(sv[0], rel=1e-12)
+        assert sample.singular_range is sample.singular_range
+
+    def test_fewer_columns_than_rows_has_sigma_min_zero(self):
+        sample = SampleMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), "wide", None)
+        assert sample.singular_range == (0.0, pytest.approx(math.sqrt(3.0)))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="sample matrix is empty"):
+            SampleMatrix(np.zeros((2, 0)), "empty", None).singular_range
+
+
 class TestCsv:
+    def test_writes_the_text_it_returns(self):
+        sample = ball_grid_sample(BallRegion((0.0, 0.0), 30.0, (3, 4)))
+        buf = io.StringIO()
+        text = sample.to_csv(out=buf)
+        assert buf.getvalue() == text == sample.to_csv()
+
     def test_round_trip_and_header(self):
         sample = rect_grid_sample(SQUARE_REGION)
         text = sample.to_csv()

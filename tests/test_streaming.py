@@ -202,6 +202,29 @@ def test_thin_box_accuracy_is_pinned():
     assert simplex_gradient(entry.field, x0, sample).error < 3e-8
 
 
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.3, -0.2)])
+def test_thin_box_accuracy_is_pinned_across_blocks(x0):
+    # 1024^2 columns are 64 blocks: 7.1e-9 and 3.5e-8 here; a sequential streamed QR of [S^T | df] read 1.5e-6
+    sample = rect_grid_sample(HyperrectRegion(x0, (1.0, 1e-8), (1024, 1024)))
+    assert simplex_gradient(get_field("affine2").field, x0, sample).error < 1e-7
+
+
+def test_thin_box_row_reads_its_singular_values_without_caching_directions():
+    # cond(S) ~ 1.5e8 takes the SVD for sigma; it read a cached directions array and an S / Delta copy
+    sample = rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 1e-8), (1024, 1024)))
+    tracemalloc.start()
+    try:
+        simplex_gradient(get_field("affine2").field, (0.0, 0.0), sample)
+        classical_bound(sample, 1.0)
+        centered_bound(sample, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 32.0 MiB with the cached directions; 16.4 MiB with one transient array for both bounds
+    assert peak < 24 * 2**20
+    assert "directions" not in vars(sample)
+
+
 # (6, 10) at 20 columns a block: rect blocks are 3 z2-slices of 6 columns, ball blocks 2 shells of 10
 @pytest.mark.parametrize(
     "region, blocks",
