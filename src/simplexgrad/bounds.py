@@ -58,15 +58,7 @@ def classical_bound(sample, grad_lipschitz: float) -> BoundReport:
     sample = _as_sample(sample)
     cols = sample.n_columns
     radius = sample_radius(sample)
-    smin, smax = (sv / radius for sv in sample.singular_range)
-    if smin <= 1e-12 * smax:
-        raise RankDeficiencyError("sample matrix must have full row rank")
-    value = math.sqrt(cols) / 2.0 * grad_lipschitz * (1.0 / smin) * radius
-    return BoundReport(
-        value=value,
-        kind="classical",
-        constants={"L_grad": grad_lipschitz, "radius": radius, "n_samples": cols, "pinv_norm": 1.0 / smin},
-    )
+    return _sample_bound(sample, radius, cols, 2.0, 1, "L_grad", grad_lipschitz, "classical", "sample matrix")
 
 
 def centered_bound(half_sample, hess_lipschitz: float, radius: float | None = None) -> BoundReport:
@@ -81,15 +73,22 @@ def centered_bound(half_sample, hess_lipschitz: float, radius: float | None = No
     half_sample = _as_sample(half_sample)
     half_cols = half_sample.n_columns
     delta = _lengths((sample_radius(half_sample) if radius is None else radius,), "radius")[0]
-    smin, smax = (sv / delta for sv in half_sample.singular_range)
+    return _sample_bound(
+        half_sample, delta, 2 * half_cols, 6.0, 2, "L_hess", hess_lipschitz, "classical-centered", "half sample"
+    )
+
+
+def _sample_bound(sample, delta, cols, divisor, power, name, lipschitz, kind, what) -> BoundReport:
+    """``(sqrt(cols)/divisor) L |pinv(Xhat^T)| delta^power``, Xhat = ``sample`` / delta and L = ``lipschitz``;
+    ``RankDeficiencyError`` naming ``what`` when sigma_min(Xhat) <= 1e-12 sigma_max(Xhat)."""
+    smin, smax = (sv / delta for sv in sample.singular_range)
     if smin <= 1e-12 * smax:
-        raise RankDeficiencyError("half sample must have full row rank")
-    cols = 2 * half_cols
-    value = math.sqrt(cols) / 6.0 * hess_lipschitz * (1.0 / smin) * delta**2
+        raise RankDeficiencyError(f"{what} must have full row rank")
+    value = math.sqrt(cols) / divisor * lipschitz * (1.0 / smin) * delta**power
     return BoundReport(
         value=value,
-        kind="classical-centered",
-        constants={"L_hess": hess_lipschitz, "radius": delta, "n_samples": cols, "pinv_norm": 1.0 / smin},
+        kind=kind,
+        constants={name: lipschitz, "radius": delta, "n_samples": cols, "pinv_norm": 1.0 / smin},
     )
 
 

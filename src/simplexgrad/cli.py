@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--field", required=True, choices=field_ids())
     p_conv.add_argument("--region", required=True, choices=["rect", "ball"])
     p_conv.add_argument("--sides", default=None, help="box side lengths, comma separated (default: the unit box)")
-    p_conv.add_argument("--radius", type=float, default=1.0, help="ball radius")
+    p_conv.add_argument("--radius", type=float, default=None, help="ball radius (default: 1)")
     p_conv.add_argument(
         "--x0",
         default=None,
@@ -81,15 +81,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF endings, creating its directory.
+
+    A path that cannot be written is a usage error: ``ValueError``, so exit 2.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_reproduce(args) -> int:
     report = reproduce(args.example_id)
     for line in report.lines():
         print(line)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         for name, text in report.artifacts.items():
             path = args.out / name
-            path.write_text(text, encoding="utf-8", newline="\n")
+            _write(path, text)
             print(f"wrote {path}")
     return 0 if report.passed else 1
 
@@ -113,8 +124,7 @@ def _cmd_convergence(args) -> int:
     result = convergence(config)
     text = result.to_csv()
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text, encoding="utf-8", newline="\n")
+        _write(args.out, text)
         print(f"wrote {args.out} ({len(result.rows)} rows)")
     else:
         sys.stdout.write(text)

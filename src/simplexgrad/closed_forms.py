@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gamma_half_integer
-from .regions import _integer, _integers, _lengths
+from .regions import HyperrectRegion, _integer, _integers, _lengths
 
 __all__ = [
     "GridGram",
@@ -29,7 +29,7 @@ __all__ = [
 
 
 def _check_counts_sublengths(counts, sublengths) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.array(_integers(np.ravel(counts).tolist(), least=2))
+    counts = np.array(_integers(np.ravel(counts).tolist(), least=HyperrectRegion.least))
     sublengths = np.array(_lengths(np.ravel(sublengths), "cell side lengths"))
     if _integer(counts.size, "dimension", 2) != sublengths.size:
         raise ValueError("counts and sublengths must have equal length")

@@ -31,11 +31,10 @@ from .regions import (
     _integer,
     _integers,
     _lengths,
-    _polar_grid,
+    antipodal_half,
     ball_grid_sample,
     rect_arbitrary_sample,
     rect_grid_sample,
-    sample_radius,
 )
 
 __all__ = [
@@ -95,15 +94,19 @@ def _check(name: str, computed, expected, tol: float) -> Check:
     return Check(name, computed, expected, tol, dev, dev <= tol)
 
 
+def _matrix_report(example_id: str, sample: SampleMatrix, expected, tol: float) -> ReproduceReport:
+    """Check a worked example's direction matrix and ship the sample as ``<example_id>.csv``."""
+    return ReproduceReport(
+        example_id,
+        [_check("direction matrix", sample.directions, expected, tol)],
+        artifacts={f"{example_id}.csv": sample.to_csv()},
+    )
+
+
 def _reproduce_rect_grid_matrix() -> ReproduceReport:
     region = HyperrectRegion(x0=(0.0, 0.0), d=(12.0, 6.0), counts=(3, 2))
-    sample = rect_grid_sample(region)
-    expected = np.array([[4, 8, 12, 4, 8, 12], [3, 3, 3, 6, 6, 6]], dtype=float)
-    return ReproduceReport(
-        "rect-grid-matrix",
-        [_check("direction matrix", sample.directions, expected, 1e-12)],
-        artifacts={"rect-grid-matrix.csv": sample.to_csv()},
-    )
+    expected = [[4, 8, 12, 4, 8, 12], [3, 3, 3, 6, 6, 6]]
+    return _matrix_report("rect-grid-matrix", rect_grid_sample(region), expected, 1e-12)
 
 
 def _reproduce_rect_arbitrary_matrix() -> ReproduceReport:
@@ -115,29 +118,17 @@ def _reproduce_rect_arbitrary_matrix() -> ReproduceReport:
         ]
     )
     sample = rect_arbitrary_sample(region, offsets=offsets)
-    expected = np.array([[2, 5, 8, 0, 6, 12], [2, 1, 3, 3, 4.5, 6]], dtype=float)
-    return ReproduceReport(
-        "rect-arbitrary-matrix",
-        [_check("direction matrix", sample.directions, expected, 1e-12)],
-        artifacts={"rect-arbitrary-matrix.csv": sample.to_csv()},
-    )
+    expected = [[2, 5, 8, 0, 6, 12], [2, 1, 3, 3, 4.5, 6]]
+    return _matrix_report("rect-arbitrary-matrix", sample, expected, 1e-12)
 
 
 def _reproduce_ball_grid_matrix() -> ReproduceReport:
     region = BallRegion(x0=(0.0, 0.0), r=30.0, counts=(3, 4))
-    sample = ball_grid_sample(region)
-    expected = np.array(
-        [
-            [0, -10, 0, 10, 0, -20, 0, 20, 0, -30, 0, 30],
-            [10, 0, -10, 0, 20, 0, -20, 0, 30, 0, -30, 0],
-        ],
-        dtype=float,
-    )
-    return ReproduceReport(
-        "ball-grid-matrix",
-        [_check("direction matrix", sample.directions, expected, 1e-9)],
-        artifacts={"ball-grid-matrix.csv": sample.to_csv()},
-    )
+    expected = [
+        [0, -10, 0, 10, 0, -20, 0, 20, 0, -30, 0, 30],
+        [10, 0, -10, 0, 20, 0, -20, 0, 30, 0, -30, 0],
+    ]
+    return _matrix_report("ball-grid-matrix", ball_grid_sample(region), expected, 1e-9)
 
 
 def _reproduce_rect_limit_quadratic() -> ReproduceReport:
@@ -189,13 +180,15 @@ def reproduce(example_id: str) -> ReproduceReport:
 class ExperimentConfig:
     """One convergence run: a field, a region, and a schedule of densities.
 
-    ``x0=None`` means the field's anchor and ``sides=None`` the unit box in
-    the field's dimension; both are resolved, as tuples of floats, on
-    construction. Every schedule row's length and integer counts, its
-    column count, ``nodes`` (an integer >= 2) and the limit quadrature's
-    ``nodes ** dim``, finite, positive sides and radius, and a nonnegative
-    integer ``seed`` are checked on construction too
-    (``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET``, else
+    ``x0=None`` means the field's anchor; a rect run's ``sides=None`` means
+    the unit box in the field's dimension and a ball run's ``radius=None``
+    the unit ball. Each is resolved, as floats, on construction, and a run
+    given the other region kind's extent (a ball run's ``sides``, a rect
+    run's ``radius``) raises ``ValueError``. Every schedule row's length
+    and integer counts, its column count, ``nodes`` (an integer >= 2) and
+    the limit quadrature's ``nodes ** dim``, finite, positive sides and
+    radius, and a nonnegative integer ``seed`` are checked on construction
+    too (``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET``, else
     ``ValueError``), before the limit quadrature or any row runs.
     """
 
@@ -204,7 +197,7 @@ class ExperimentConfig:
     schedule: tuple[tuple[int, ...], ...]
     x0: tuple[float, ...] | None = None
     sides: tuple[float, ...] | None = None
-    radius: float = 1.0
+    radius: float | None = None
     sample: str = "grid"  # rect only: "grid" | "arbitrary"
     nodes: int = 64
     seed: int = 0
@@ -221,15 +214,21 @@ class ExperimentConfig:
         entry = get_field(self.field_id)  # raises for unknown ids
         dim = entry.field.dim
         # rejected here too, before the limit quadrature runs on them
-        object.__setattr__(self, "sides", _lengths((1.0,) * dim if self.sides is None else self.sides))
-        object.__setattr__(self, "radius", _lengths((self.radius,), "radius")[0])
+        if self.region == "rect":
+            if self.radius is not None:
+                raise ValueError("a rect run takes sides, not a radius")
+            object.__setattr__(self, "sides", _lengths((1.0,) * dim if self.sides is None else self.sides))
+            if len(self.sides) != dim:
+                raise ValueError(f"sides must have {dim} entries for field {self.field_id}, got {len(self.sides)}")
+        else:
+            if self.sides is not None:
+                raise ValueError("a ball run takes a radius, not sides")
+            object.__setattr__(self, "radius", _lengths((1.0 if self.radius is None else self.radius,), "radius")[0])
         object.__setattr__(self, "x0", _finite(entry.anchor if self.x0 is None else self.x0, "x0"))
         if len(self.x0) != dim:
             raise ValueError(f"x0 must have {dim} entries for field {self.field_id}, got {len(self.x0)}")
-        if self.region == "rect" and len(self.sides) != dim:
-            raise ValueError(f"sides must have {dim} entries for field {self.field_id}, got {len(self.sides)}")
         # checked here, before the limit quadrature and any earlier row run
-        least = 2 if self.region == "rect" else 3
+        least = (HyperrectRegion if self.region == "rect" else BallRegion).least
         for counts in self.schedule:
             if len(counts) != dim:
                 raise ValueError(f"schedule rows must have {dim} counts for field {self.field_id}, got {tuple(counts)}")
@@ -297,30 +296,6 @@ class ConvergenceResult:
         return buf.getvalue()
 
 
-def antipodal_half(sample: SampleMatrix) -> SampleMatrix:
-    """Half sample A with the full planar ball grid S equal to [A, -A] up to order.
-
-    Requires a 2-d ball grid with an even azimuthal count: the column at
-    azimuthal index y2 + N2/2 is the negation of the one at y2. A is the
-    columns with y2 <= N2/2: the polar grid's own lazy sample over the
-    first half-turn, n x N/2 and tagged ``ball-half``, on S's region and
-    with the cell indices of its columns in S. Its radius and Gram are
-    S's, the Gram halved: S S^T = 2 A A^T holds for S = [A, -A], so A's
-    Gram spectrum costs one 2 x 2 eigendecomposition and no pass over the
-    columns once S's are known (reading them here walks S if nothing has
-    yet). Like every sample it is read through ``SampleMatrix``'s one block
-    function, which fills the half-turn's columns only when something reads
-    them (the SVD route of its ``singular_range``, ``to_csv``).
-    """
-    if sample.tag != "ball-grid" or sample.dim != 2:
-        raise ValueError("mirrored structure is only extracted from 2-d ball grids")
-    if sample.region.counts[1] % 2 != 0:
-        raise ValueError("azimuthal count must be even for the mirrored split")
-    # every column norm of S is one of A's
-    sums = sample.radius, sample.gram_spectrum[0] / 2.0
-    return _polar_grid(sample.region, "ball-half", sample.region.counts[1] // 2, sums)
-
-
 def convergence(config: ExperimentConfig) -> ConvergenceResult:
     """Run the schedule and collect one row per sample density."""
     entry = get_field(config.field_id)
@@ -356,13 +331,14 @@ def convergence(config: ExperimentConfig) -> ConvergenceResult:
             region = BallRegion(x0=tuple(x0), r=config.radius, counts=counts)
             sample = ball_grid_sample(region)
             mirrored = sample.dim == 2 and counts[1] % 2 == 0
-        # the estimate walks the sample once; the bounds then read its cached sums
+        # the estimate walks the sample once; the bounds and the half then read its cached sums
+        # (taken first, the half would walk S on its own and the estimate would walk it again)
         est = simplex_gradient(field, x0, sample)
         classical = classical_bound(sample, grad_lip)
         centered = None
         if mirrored:
             half = antipodal_half(sample)
-            centered = centered_bound(half, hess_lip, radius=sample_radius(sample)).value
+            centered = centered_bound(half, hess_lip).value
         rows.append(
             ConvergenceRow(
                 index=i,

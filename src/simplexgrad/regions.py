@@ -32,6 +32,7 @@ __all__ = [
     "rect_grid_sample",
     "rect_arbitrary_sample",
     "ball_grid_sample",
+    "antipodal_half",
     "grid_jacobian",
     "sample_radius",
 ]
@@ -47,8 +48,22 @@ class BudgetExceededError(ValueError):
     """Requested grid would exceed ``DEFAULT_COLUMN_BUDGET``."""
 
 
+class _GridRegion:
+    """A region with ``x0`` and a grid of ``counts`` cells, at least ``least`` along each axis."""
+
+    least: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.x0)
+
+    @property
+    def n_cells(self) -> int:
+        return math.prod(self.counts)
+
+
 @dataclass(frozen=True)
-class HyperrectRegion:
+class HyperrectRegion(_GridRegion):
     """Axis-aligned box ``[x0, x0 + d]`` subdivided into a grid of cells.
 
     ``x0`` sits at the minimal corner. ``counts[i]`` is the number of equal
@@ -59,30 +74,23 @@ class HyperrectRegion:
     x0: tuple[float, ...]
     d: tuple[float, ...]
     counts: tuple[int, ...]
+    least = 2
 
     def __post_init__(self):
         object.__setattr__(self, "x0", _finite(self.x0, "x0"))
         object.__setattr__(self, "d", _lengths(self.d))
-        object.__setattr__(self, "counts", _integers(self.counts, least=2))
+        object.__setattr__(self, "counts", _integers(self.counts, least=self.least))
         n = _integer(len(self.x0), "dimension", 2)
         if len(self.d) != n or len(self.counts) != n:
             raise ValueError("x0, d and counts must have matching lengths")
 
     @property
-    def dim(self) -> int:
-        return len(self.x0)
-
-    @property
     def sublengths(self) -> tuple[float, ...]:
         return tuple(di / ci for di, ci in zip(self.d, self.counts))
 
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod([float(c) for c in self.counts]))
-
 
 @dataclass(frozen=True)
-class BallRegion:
+class BallRegion(_GridRegion):
     """Ball of radius ``r`` about ``x0`` with a polar grid of cells.
 
     ``counts[0]`` subdivides the radius, ``counts[1]`` the full turn of the
@@ -93,21 +101,14 @@ class BallRegion:
     x0: tuple[float, ...]
     r: float
     counts: tuple[int, ...]
+    least = 3
 
     def __post_init__(self):
         object.__setattr__(self, "x0", _finite(self.x0, "x0"))
         object.__setattr__(self, "r", _lengths((self.r,), "radius")[0])
-        object.__setattr__(self, "counts", _integers(self.counts, least=3))
+        object.__setattr__(self, "counts", _integers(self.counts, least=self.least))
         if len(self.counts) != _integer(len(self.x0), "dimension", 2):
             raise ValueError("counts must have one entry per dimension")
-
-    @property
-    def dim(self) -> int:
-        return len(self.x0)
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod([float(c) for c in self.counts]))
 
 
 class SampleMatrix:
@@ -478,6 +479,30 @@ def ball_grid_sample(region: BallRegion) -> SampleMatrix:
     """
     _check_budget(region.n_cells)
     return _polar_grid(region, "ball-grid", region.counts[1])
+
+
+def antipodal_half(sample: SampleMatrix) -> SampleMatrix:
+    """Half sample A with the full planar ball grid S equal to [A, -A] up to order.
+
+    Requires a 2-d ball grid with an even azimuthal count: the column at
+    azimuthal index y2 + N2/2 is the negation of the one at y2. A is the
+    columns with y2 <= N2/2: the polar grid's own lazy sample over the
+    first half-turn, n x N/2 and tagged ``ball-half``, on S's region and
+    with the cell indices of its columns in S. Its radius and Gram are
+    S's, the Gram halved: S S^T = 2 A A^T holds for S = [A, -A], so A's
+    Gram spectrum costs one 2 x 2 eigendecomposition and no pass over the
+    columns once S's are known (reading them here walks S if nothing has
+    yet). Like every sample it is read through ``SampleMatrix``'s one block
+    function, which fills the half-turn's columns only when something reads
+    them (the SVD route of its ``singular_range``, ``to_csv``).
+    """
+    if sample.tag != "ball-grid" or sample.dim != 2:
+        raise ValueError("mirrored structure is only extracted from 2-d ball grids")
+    if sample.region.counts[1] % 2 != 0:
+        raise ValueError("azimuthal count must be even for the mirrored split")
+    # every column norm of S is one of A's
+    sums = sample.radius, sample.gram_spectrum[0] / 2.0
+    return _polar_grid(sample.region, "ball-half", sample.region.counts[1] // 2, sums)
 
 
 def _polar_grid(region: BallRegion, tag: str, azimuths: int, sums=None) -> SampleMatrix:

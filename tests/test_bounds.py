@@ -126,6 +126,15 @@ def test_non_finite_constants_rejected(bound, value):
         bound(value)
 
 
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("bound", [classical_bound, centered_bound], ids=["classical", "centered"])
+def test_bad_lipschitz_constant_is_rejected_before_the_sample_is_walked(bound, value):
+    sample = rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 1.0), (4, 4)))
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        bound(sample, value)
+    assert sample._sums is None
+
 class TestFewerColumnsThanRows:
     """The SVD of an n x N sample with N < n has only N singular values; the missing one is 0."""
 

@@ -211,6 +211,36 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--region", "ball", "--sides", "1,1"], "error: a ball run takes a radius, not sides\n"),
+            (["--region", "rect", "--radius", "2"], "error: a rect run takes sides, not a radius\n"),
+        ],
+        ids=["ball-sides", "rect-radius"],
+    )
+    def test_the_other_region_kinds_extent_is_rejected(self, args, message, capsys):
+        code = main(["convergence", "--field", "cubic2", *args, "--schedule", "4", "--nodes", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == message
+
+    def test_reproduce_into_an_existing_file_is_a_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "artifacts"
+        blocker.write_text("not a directory")
+        code = main(["reproduce", "rect-grid-matrix", "--out", str(blocker)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {blocker / 'rect-grid-matrix.csv'}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_convergence_into_a_directory_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["convergence", "--field", "quad2", "--region", "rect", "--schedule", "4", "--nodes", "8",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_bound_violation_exits_one_and_still_writes_the_csv(self, capsys, tmp_path, monkeypatch):
         bound = experiments.classical_bound
         # a zero classical bound sits below every row's nonzero error

@@ -1,0 +1,89 @@
+"""Compare the README command outputs of two checkouts byte for byte.
+
+Usage::
+
+    python tools/compare_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of this repository. For each, the script
+runs the three ``convergence`` commands of the README and every
+``reproduce <id> --out`` example, as ``python -m simplexgrad.cli`` with
+that checkout's ``src/`` on ``PYTHONPATH`` and a fresh temporary directory
+as the working directory. It compares the exit codes, stdout (with the
+temporary directory masked) and every written file byte for byte, prints
+one line per command, and exits 1 if anything differs (0 otherwise).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPRODUCE_IDS = (
+    "ball-grid-matrix",
+    "ball-limit-quadratic",
+    "rect-arbitrary-matrix",
+    "rect-grid-matrix",
+    "rect-limit-quadratic",
+)
+
+# (label, argv after ``python -m simplexgrad.cli``); "{out}" is the run's output directory
+COMMANDS = [
+    ("convergence rect", ["convergence", "--field", "cubic2", "--region", "rect", "--sides", "1,1",
+                          "--schedule", "2^2..2^10", "--nodes", "64", "--seed", "0", "--out", "{out}/rect.csv"]),
+    ("convergence ball", ["convergence", "--field", "cubic2", "--region", "ball", "--radius", "1.0",
+                          "--schedule", "2^2..2^7", "--nodes", "64", "--seed", "0", "--out", "{out}/ball.csv"]),
+    ("convergence x0", ["convergence", "--field", "quad2", "--region", "rect", "--x0=-0.5,1", "--schedule", "4,8"]),
+] + [(f"reproduce {rid}", ["reproduce", rid, "--out", "{out}/" + rid]) for rid in REPRODUCE_IDS]
+
+MASK = "<out>"
+
+
+def run(checkout: Path, argv: list[str]) -> tuple[int, str, dict[str, bytes]]:
+    """Exit code, masked stdout and the files written (relative path -> bytes) of one command."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        args = [a.replace("{out}", str(out)) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "simplexgrad.cli", *args], cwd=tmp, env=env, capture_output=True, text=True
+        )
+        files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return proc.returncode, proc.stdout.replace(str(out), MASK), files
+
+
+def differences(parent, change) -> list[str]:
+    (code_a, stdout_a, files_a), (code_b, stdout_b, files_b) = parent, change
+    diffs = []
+    if code_a != code_b:
+        diffs.append(f"exit {code_a} != {code_b}")
+    if stdout_a != stdout_b:
+        diffs.append("stdout differs")
+    for name in sorted(files_a.keys() | files_b.keys()):
+        if name not in files_a or name not in files_b:
+            diffs.append(f"{name} written by one side only")
+        elif files_a[name] != files_b[name]:
+            diffs.append(f"{name} differs")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout to compare against")
+    parser.add_argument("change", type=Path, help="checkout under test")
+    args = parser.parse_args(argv)
+    failed = False
+    for label, command in COMMANDS:
+        parent, change = run(args.parent, command), run(args.change, command)
+        diffs = differences(parent, change)
+        failed |= bool(diffs)
+        detail = "; ".join(diffs) if diffs else f"same (exit {change[0]}, {len(change[2])} files)"
+        print(f"{'DIFF' if diffs else 'SAME'} {label}: {detail}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
