@@ -23,12 +23,17 @@ from pathlib import Path
 from .experiments import REPRODUCE_IDS, ExperimentConfig, convergence, reproduce
 from .fields import field_ids, get_field
 from .gsg import EvaluationError
+from .regions import DEFAULT_COLUMN_BUDGET, BudgetExceededError
 
 __all__ = ["main"]
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
-    """Per-axis counts: either '2^2..2^10' (powers of two) or '4,8,16'."""
+    """Per-axis counts: either '2^2..2^10' (powers of two) or '4,8,16'.
+
+    A power range whose top count exceeds ``DEFAULT_COLUMN_BUDGET`` raises
+    ``BudgetExceededError`` before any power is built.
+    """
     text = text.strip()
     try:
         if ".." in text:
@@ -43,6 +48,8 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
         ) from None
     if khi < klo:
         raise ValueError("schedule range is empty")
+    if khi >= DEFAULT_COLUMN_BUDGET.bit_length():  # 2^khi > budget, without building the powers
+        raise BudgetExceededError(f"schedule count 2^{khi} exceeds the budget of {DEFAULT_COLUMN_BUDGET} columns")
     return tuple(2**k for k in range(klo, khi + 1))
 
 

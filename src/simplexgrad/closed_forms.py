@@ -100,12 +100,16 @@ def dense_limit_matrix(d) -> DenseLimitMatrix:
     """Dense-sampling limit of ``N (S S^T)^{-T}`` for a box with sides ``d``.
 
     Diagonal entries ``12(3n-2) / (d_i^2 (3n+1))``, off-diagonal entries
-    ``-36 / (d_i d_j (3n+1))``.
+    ``-36 / (d_i d_j (3n+1))``. Sides so small that an entry overflows
+    (below about 1e-154) raise ``ValueError``.
     """
     d = np.array(_lengths(np.ravel(d)))
     normalized = _normalized_limit(_integer(d.size, "dimension", 2))
-    inv_d = 1.0 / d
-    matrix = normalized * np.outer(inv_d, inv_d)
+    with np.errstate(over="ignore"):
+        inv_d = 1.0 / d
+        matrix = normalized * np.outer(inv_d, inv_d)
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"box sides {tuple(map(float, d))} are too small for the dense-limit matrix (1/d_i^2 overflows)")
     return DenseLimitMatrix(tuple(map(float, d)), matrix, normalized)
 
 

@@ -9,6 +9,7 @@ import pytest
 from simplexgrad import experiments
 from simplexgrad.cli import _parse_schedule, main
 from simplexgrad.experiments import ExperimentConfig, convergence
+from simplexgrad.regions import BudgetExceededError
 
 
 class TestScheduleParsing:
@@ -25,6 +26,16 @@ class TestScheduleParsing:
     def test_empty_range(self):
         with pytest.raises(ValueError):
             _parse_schedule("2^5..2^2")
+
+    @pytest.mark.parametrize("top", [24, 30000])
+    def test_power_above_the_budget_is_rejected_before_the_range_is_built(self, top, capsys):
+        with pytest.raises(BudgetExceededError, match=rf"2\^{top} exceeds the budget"):
+            _parse_schedule(f"2^2..2^{top}")
+        assert main(["convergence", "--field", "cubic2", "--region", "rect", "--schedule", f"2^2..2^{top}"]) == 2
+        assert "exceeds the budget" in capsys.readouterr().err
+
+    def test_top_power_within_the_budget_is_kept(self):
+        assert _parse_schedule("2^23..2^23") == (2**23,)
 
     @pytest.mark.parametrize("text", ["4,2^3", "2^2..8", "four"])
     def test_mixed_forms_name_the_accepted_ones(self, text):
@@ -293,6 +304,16 @@ class TestCli:
         assert code == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_box_too_thin_for_the_limit_prints_one_line_and_no_warning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["convergence", "--field", "affine2", "--region", "rect", "--sides", "1e-170,1",
+                         "--schedule", "4", "--nodes", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(err.splitlines()) == 1 and "too small for the dense-limit matrix" in err
 
     def test_quadrature_over_node_budget_is_usage_error(self, capsys):
         # 3163^2 = 10,004,569 nodes, just over the 10M budget

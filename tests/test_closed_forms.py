@@ -87,6 +87,11 @@ class TestDenseLimitMatrix:
         dinv = np.diag(1.0 / d)
         assert np.allclose(lim.matrix, dinv @ lim.normalized @ dinv, atol=1e-14)
 
+    def test_sides_whose_entries_overflow_are_rejected_without_a_warning(self):
+        with pytest.raises(ValueError, match=r"box sides \(1e-170, 1.0\) are too small"):
+            dense_limit_matrix((1e-170, 1.0))
+        assert np.isfinite(dense_limit_matrix((1e-150, 1.0)).matrix).all()
+
     def test_scaled_gram_inverse_converges(self):
         for n, d in ((2, (1.0, 1.0)), (2, (2.0, 1.0)), (3, (2.0, 1.0, 3.0))):
             target = dense_limit_matrix(d).matrix

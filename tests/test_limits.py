@@ -37,6 +37,12 @@ def linear_field(g):
     return ScalarField(dim=g.size, fn=lambda x: x @ g, grad=lambda x: g.copy(), hess=lambda x: np.zeros((g.size, g.size)))
 
 
+def bent_field(g):
+    """``g . x + |x|^4``: gradient g at the origin, curved everywhere else."""
+    g = np.asarray(g, dtype=float)
+    return ScalarField(dim=g.size, fn=lambda x: x @ g + (x * x).sum(axis=1) ** 2, grad=lambda x: g + 4.0 * (x @ x) * x)
+
+
 class TestBoxMoments:
     def test_constant_field_zero(self):
         assert np.allclose(box_moment_vector(CONSTANT, (1.0, 2.0), (1.0, 1.0), SPEC64), 0.0, atol=1e-13)
@@ -170,9 +176,26 @@ class TestTaylorDiagnostics:
         bare = ScalarField(dim=2, fn=lambda x: x[:, 0])
         with pytest.raises(CapabilityError):
             taylor_diagnostics(bare, (0.0, 0.0), d=(1.0, 1.0))
-        no_hess = ScalarField(dim=2, fn=lambda x: x[:, 0], grad=lambda x: np.array([1.0, 0.0]))
         with pytest.raises(CapabilityError):
-            taylor_diagnostics(no_hess, (0.0, 0.0), r=1.0)
+            taylor_diagnostics(bare, (0.0, 0.0), r=1.0)
+
+    def test_ball_split_needs_no_hessian(self):
+        no_hess = ScalarField(dim=2, fn=lambda x: x[:, 0], grad=lambda x: np.array([1.0, 0.0]))
+        parts = taylor_diagnostics(no_hess, (0.0, 0.0), r=1.0, spec=QuadratureSpec(16))
+        assert np.linalg.norm(parts["z"]) < 1e-12
+
+    @pytest.mark.parametrize("d", [(1.0, 0.25), (1.0, 2.0, 0.5), (0.3, 1.0, 2.0, 0.7)], ids=["n2", "n3", "n4"])
+    def test_box_linear_part_is_the_linear_fields_moments(self, d):
+        g, x0 = np.array([1.3, -0.4, 2.0, 0.9])[: len(d)], np.zeros(len(d))
+        v = taylor_diagnostics(bent_field(g), x0, d=d, spec=QuadratureSpec(8))["v"]
+        np.testing.assert_allclose(v, box_moment_vector(linear_field(g), x0, d, QuadratureSpec(8)), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ball_linear_part_is_the_linear_fields_moments_and_curvature_part_is_zero(self, n):
+        g, x0 = np.array([1.3, -0.4, 2.0])[:n], np.zeros(n)
+        parts = taylor_diagnostics(bent_field(g), x0, r=0.7, spec=QuadratureSpec(8))
+        np.testing.assert_allclose(parts["v"], ball_moment_vector(linear_field(g), x0, 0.7, QuadratureSpec(16)), rtol=1e-12)
+        assert parts["w"].shape == (n,) and not parts["w"].any()
 
     @pytest.mark.parametrize(
         "x0, region",

@@ -1,16 +1,18 @@
-"""Compare the README command outputs of two checkouts byte for byte.
+"""Compare the CLI outputs of two checkouts byte for byte.
 
 Usage::
 
     python tools/compare_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository. For each, the script
-runs the three ``convergence`` commands of the README and every
-``reproduce <id> --out`` example, as ``python -m simplexgrad.cli`` with
-that checkout's ``src/`` on ``PYTHONPATH`` and a fresh temporary directory
-as the working directory. It compares the exit codes, stdout (with the
-temporary directory masked) and every written file byte for byte, prints
-one line per command, and exits 1 if anything differs (0 otherwise).
+runs the three ``convergence`` commands of the README, three more (a 3-d
+ball, an arbitrary rect sample, and a 2-d ball with odd and even counts)
+and every ``reproduce <id> --out`` example, as ``python -m
+simplexgrad.cli`` with that checkout's ``src/`` on ``PYTHONPATH`` and a
+fresh temporary directory as the working directory. It compares the exit
+codes, stdout (with the temporary directory masked) and every written file
+byte for byte, prints one line per command, and exits 1 if anything
+differs (0 otherwise).
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ COMMANDS = [
     ("convergence ball", ["convergence", "--field", "cubic2", "--region", "ball", "--radius", "1.0",
                           "--schedule", "2^2..2^7", "--nodes", "64", "--seed", "0", "--out", "{out}/ball.csv"]),
     ("convergence x0", ["convergence", "--field", "quad2", "--region", "rect", "--x0=-0.5,1", "--schedule", "4,8"]),
+    # beyond the README: the 3-d limit with its polar angles, the arbitrary sample, odd and even ball counts
+    ("convergence ball 3-d", ["convergence", "--field", "affine3", "--region", "ball", "--schedule", "3,5,9",
+                              "--nodes", "32", "--out", "{out}/ball3.csv"]),
+    ("convergence rect arbitrary", ["convergence", "--field", "cubic2", "--region", "rect", "--sample", "arbitrary",
+                                    "--seed", "7", "--schedule", "4,8,16", "--nodes", "32", "--out", "{out}/arb.csv"]),
+    ("convergence ball mirrored", ["convergence", "--field", "cubic2", "--region", "ball", "--schedule", "3,4,6",
+                                   "--nodes", "32", "--out", "{out}/mirrored.csv"]),
 ] + [(f"reproduce {rid}", ["reproduce", rid, "--out", "{out}/" + rid]) for rid in REPRODUCE_IDS]
 
 MASK = "<out>"
