@@ -4,7 +4,7 @@ Given a reference point and a direction matrix S (one column per sample
 point), the estimate is ``pinv(S)^T @ df`` where ``df`` stacks the function
 increments ``f(x0 + S e_j) - f(x0)``. For full-row-rank S this coincides
 with the normal-equation form ``(S S^T)^{-T} S df``, which is what the
-implementation solves when S has more columns than rows.
+implementation solves when S passes the pseudoinverse's rank rule.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import pseudoinverse
+from .linalg import _rank_cutoff, pseudoinverse
 from .regions import _as_sample, _integer, sample_radius
 
 __all__ = [
@@ -115,8 +115,8 @@ class GradientEstimate:
 
     ``route`` is the solve that produced it (``"normal-equations"`` or
     ``"svd"``) and ``cond`` is cond(S) = sigma_max / sigma_min from the
-    sample's ``singular_range``, infinite when sigma_min = 0 (S rank
-    deficient, or with fewer columns than rows).
+    sample's ``singular_range``: infinite when sigma_min = 0 (fewer columns
+    than rows), about 1e16 when S is rank deficient with N >= n.
     """
 
     estimate: np.ndarray
@@ -137,9 +137,9 @@ def _cause(exc: Exception) -> str:
 def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"):
     """Yield ``(start, block, increments)`` for each ``(start, block)`` of ``blocks``.
 
-    ``blocks`` yields a sample's column blocks (``SampleMatrix._blocks``) or
-    the limit quadrature's node parts, each taken only once the previous
-    block's increments have been yielded.
+    ``blocks`` yields a sample's column blocks (its one walk,
+    ``SampleMatrix._blocks``) or the limit quadrature's node parts, each
+    taken only once the previous block's increments have been yielded.
 
     ``block`` is an n x m block of columns whose first has index ``start``;
     its increments are ``f(x0 + block[:, j]) - f(x0)``. f(x0) is evaluated
@@ -217,38 +217,36 @@ def function_increments(field: ScalarField, x0, sample) -> np.ndarray:
 def simplex_gradient(field: ScalarField, x0, sample) -> GradientEstimate:
     """Least-squares gradient estimate of ``field`` at ``x0`` over ``sample``.
 
-    Solves the normal equations when the sample has at least as many
-    columns as rows and a numerically nonsingular Gram; otherwise falls
-    back to the SVD pseudoinverse. Both routes agree (to roundoff) whenever
-    S has full row rank. ``S df`` is summed block by block on the sample's
-    one walk (``SampleMatrix._walk``), which also sums and caches the
-    radius and ``S S^T`` unless a bound or the radius already did, so a
-    fresh sample is read once and no n x N array is formed. The route is
-    picked after that walk, from the sample's shared ``gram_spectrum``; a
-    sample whose Gram turns out singular takes the SVD route, which forms
-    a transient direction array and evaluates the field a second time.
-    ``cond`` is read from ``singular_range``, as the bounds read it. An
-    empty sample raises ``ValueError``.
+    Evaluates the field on one walk over the sample, which sums ``S df``
+    block by block and, unless a bound or the radius already did, the
+    radius and ``S S^T`` (see ``SampleMatrix``), so a fresh sample is read
+    once and no n x N array is formed. The route is then taken from S's
+    singular values (``singular_range``, which the bounds and ``cond``
+    read too) by the pseudoinverse's own rank rule: the normal equations
+    ``(S S^T)^{-T} S df`` when sigma_min > max(n, N) eps sigma_max, else
+    ``pinv(S)^T df`` by SVD. A sample with fewer columns than rows has
+    sigma_min = 0 and takes the SVD route. The SVD route reuses the walk's
+    increments when the sample is one block; a longer sample forms a
+    transient direction array and evaluates the field a second time. An
+    empty sample raises ``ValueError`` once f(x0) has been evaluated.
     """
     sample = _as_sample(sample)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != sample.dim:
         raise ValueError("x0 dimension does not match the sample matrix")
     n, cols = sample.dim, sample.n_columns
-    s_df = None
-    if cols >= n:
-        s_df = np.zeros(n)
-        for _, block, increments in _increments(field, x0, sample._walk()):
-            s_df += block @ increments
+    s_df = np.zeros(n)
+    for _, block, df in _increments(field, x0, sample._blocks()):
+        s_df += block @ df
     smin, smax = sample.singular_range
-    gram, eigvals = sample.gram_spectrum
-    cutoff = (max(n, cols) * np.finfo(float).eps) ** 2 * max(eigvals[-1], 0.0)
-    if s_df is not None and eigvals[0] > cutoff:
-        estimate = np.linalg.solve(gram.T, s_df)
+    if smin > _rank_cutoff((n, cols), smax):
+        estimate = np.linalg.solve(sample.gram_spectrum[0].T, s_df)
         route = "normal-equations"
     else:
-        # fewer columns than rows or a singular Gram: SVD pseudoinverse route, evaluating again
-        estimate = pseudoinverse(sample._block(0, sample._shape[0])).T @ function_increments(field, x0, sample)
+        if block.shape[1] < cols:
+            # a sample of several blocks: the whole direction array, and its increments again
+            block, df = sample._block(0, sample._shape[0]), function_increments(field, x0, sample)
+        estimate = pseudoinverse(block).T @ df
         route = "svd"
     true_grad = None
     error = None

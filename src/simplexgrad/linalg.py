@@ -31,16 +31,21 @@ def _as_finite_2d(a, name: str) -> np.ndarray:
     return arr
 
 
+def _rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
+    """The rank rule: singular values at or below ``max(rows, cols) * eps * sigma_max`` count as zero."""
+    return max(shape) * np.finfo(float).eps * sigma_max
+
+
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``max(rows, cols) * machine epsilon *
-    sigma_max`` are treated as zero, which keeps near-rank-deficient sample
+    Singular values at or below ``_rank_cutoff``, the rule the estimator's
+    route takes too, count as zero, which keeps near-rank-deficient sample
     grids (small subdivision counts) stable.
     """
     arr = _as_finite_2d(a, "a")
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    cutoff = max(arr.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    cutoff = _rank_cutoff(arr.shape, s[0] if s.size else 0.0)
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
 

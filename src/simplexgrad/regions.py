@@ -130,17 +130,17 @@ class SampleMatrix:
     as many whole slices at a time as fit in ``BLOCK_COLUMNS``, and at
     least one; ``_block_bounds`` holds that rule, and the limit quadrature
     cuts its nodes into parts by it too.
-    One walk (``_walk``) sums the radius and ``S S^T`` while it yields the
-    blocks and keeps both in ``_sums`` when it ends; the radius, the Gram
-    spectrum and ``singular_range``, the one reader of S's singular values
-    for the estimator's cond and the bounds, are read from there (an
-    ill-conditioned S adds one SVD). The estimator sums ``S df`` on the
-    same walk, so a fresh sample is read once; a bound or ``radius`` read
-    first runs the walk alone.
-    Each block's sums are the same operations in the same order either
-    way, so the radius, the Gram and the estimate are bitwise the same
-    whichever consumer walks first, and whether or not the arrays were ever
-    built.
+    One walk, ``_blocks``, sums the radius and ``S S^T`` the first time it
+    runs to its end, whoever runs it (the estimator, ``function_increments``,
+    ``to_csv``, or a bound or ``radius`` through ``_walked``), and keeps
+    both in ``_sums``; the radius, the Gram spectrum and ``singular_range``,
+    the one reader of S's singular values for the estimator's route and
+    cond and for the bounds, are read from there (an ill-conditioned S adds
+    one SVD), so a fresh sample is read once. Each block's sums are the
+    same operations in the same order whoever walks, so the radius, the
+    Gram and the estimate are bitwise the same whichever reader walks
+    first, and whether or not the arrays were ever built. A sample built
+    from arrays must have finite directions.
     """
 
     def __init__(
@@ -150,6 +150,8 @@ class SampleMatrix:
         indices: np.ndarray | None,
         region: HyperrectRegion | BallRegion | None = None,
     ):
+        if not np.isfinite(directions).all():
+            raise ValueError("sample directions must be finite")
         directions.flags.writeable = False
         if indices is not None:
             indices.flags.writeable = False
@@ -167,7 +169,7 @@ class SampleMatrix:
     ) -> SampleMatrix:
         """Sample of a grid of ``shape`` cells (column order), written slice by slice:
         ``fill(out, lo, hi)`` writes slowest-axis slices ``lo..hi-1`` into ``out``, n x (hi - lo)
-        x ``shape[1:]``. ``sums``, if given, are the walk's (see ``_walk``)."""
+        x ``shape[1:]``. ``sums``, if given, are the walk's (see ``_blocks``)."""
         dim = region.dim
 
         def block(lo, hi):
@@ -189,10 +191,21 @@ class SampleMatrix:
         self._sums = sums
 
     def _blocks(self):
-        """Yield ``(start, block)``: each column block's n x b directions and its first column."""
+        """Yield ``(start, block)``: each column block's n x b directions and its first column.
+        A walk begun while ``_sums`` is None sums the radius and ``S S^T`` and keeps them there."""
         width = math.prod(self._shape[1:])
+        summing = self._sums is None
+        max_sq = 0.0
+        gram = np.zeros((self.dim, self.dim))
         for lo, hi in _block_bounds(self._shape[0], width):
-            yield lo * width, self._block(lo, hi)
+            block = self._block(lo, hi)
+            if summing:
+                max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->j", block, block))))
+                gram += block @ block.T
+            yield lo * width, block
+        if summing:
+            # sqrt(max sum of squares) rounds exactly like max(norm(axis=0)), without an n x N temporary
+            self._sums = float(np.sqrt(max_sq)), gram
 
     @cached_property
     def directions(self) -> np.ndarray:
@@ -207,28 +220,10 @@ class SampleMatrix:
         idx.flags.writeable = False
         return idx
 
-    def _walk(self):
-        """Yield ``_blocks()`` while summing the radius and ``S S^T``.
-
-        The sums are kept in ``_sums`` when the walk ends; once they are, a
-        walk only yields the blocks.
-        """
-        if self._sums is not None:
-            yield from self._blocks()
-            return
-        max_sq = 0.0
-        gram = np.zeros((self.dim, self.dim))
-        for start, block in self._blocks():
-            max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->j", block, block))))
-            gram += block @ block.T
-            yield start, block
-        # sqrt(max sum of squares) rounds exactly like max(norm(axis=0)), without an n x N temporary
-        self._sums = float(np.sqrt(max_sq)), gram
-
     def _walked(self) -> tuple[float, np.ndarray]:
         """The radius and ``S S^T``, from a walk run to its end if none has."""
         if self._sums is None:
-            for _ in self._walk():
+            for _ in self._blocks():
                 pass
         return self._sums
 

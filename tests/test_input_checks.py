@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from simplexgrad.bounds import limit_bound_ball, limit_bound_box
+from simplexgrad.bounds import centered_bound, classical_bound, limit_bound_ball, limit_bound_box
 from simplexgrad.closed_forms import ball_gamma_ratio, ball_volume, dense_limit_matrix, grid_gram, grid_gram_inverse
-from simplexgrad.gsg import ScalarField
+from simplexgrad.gsg import ScalarField, function_increments, simplex_gradient
 from simplexgrad.linalg import gamma_half_integer
 from simplexgrad.quadrature import abs_monomial_ball_integral, ball_nodes, monomial_ball_integral
+from simplexgrad.regions import SampleMatrix, sample_radius
 
 nan, inf = math.nan, math.inf
 
@@ -51,3 +53,22 @@ CASES = {
 def test_rejected_with_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+NON_FINITE_SAMPLE = {
+    "SampleMatrix": lambda a: SampleMatrix(a, "array", None),
+    "sample_radius": sample_radius,
+    "classical_bound": lambda a: classical_bound(a, 1.0),
+    "centered_bound": lambda a: centered_bound(a, 1.0),
+    "simplex_gradient": lambda a: simplex_gradient(ScalarField(2, _ones), (0.0, 0.0), a),
+    "function_increments": lambda a: function_increments(ScalarField(2, _ones), (0.0, 0.0), a),
+}
+
+
+# sample_radius returned 0.0 (max(0.0, nan) is 0.0), classical_bound raised LinAlgError and
+# simplex_gradient blamed the field for a "non-finite increment"
+@pytest.mark.parametrize("bad", [nan, inf, -inf])
+@pytest.mark.parametrize("call", NON_FINITE_SAMPLE.values(), ids=NON_FINITE_SAMPLE.keys())
+def test_non_finite_sample_rejected(call, bad):
+    with pytest.raises(ValueError, match="sample directions must be finite"):
+        call(np.array([[1.0, bad, 2.0], [0.0, 1.0, 1.0]]))

@@ -13,6 +13,7 @@ from simplexgrad.experiments import ExperimentConfig, antipodal_half, convergenc
 from simplexgrad.fields import get_field
 from simplexgrad.gsg import EvaluationError, ScalarField, function_increments, simplex_gradient
 from simplexgrad.limits import limit_gradient_ball, limit_gradient_box, taylor_diagnostics
+from simplexgrad.linalg import pseudoinverse
 from simplexgrad.quadrature import QuadratureSpec, ball_nodes, box_nodes, integrate_ball, integrate_box
 from simplexgrad.regions import (
     BallRegion,
@@ -92,6 +93,30 @@ def test_lazy_and_materialized_samples_agree_bitwise(build, region, block_column
     # a plain array is cut every BLOCK_COLUMNS columns, so it agrees to roundoff
     plain = simplex_gradient(field, x0, np.array(directions)).estimate
     assert np.allclose(plain, got["estimate"], rtol=1e-12, atol=0.0)
+
+
+_FIRST_WALKS = {
+    "estimate": lambda sample, field, x0: simplex_gradient(field, x0, sample),
+    "increments": lambda sample, field, x0: function_increments(field, x0, sample),
+    "to_csv": lambda sample, field, x0: sample.to_csv(),
+    "radius": lambda sample, field, x0: sample_radius(sample),
+}
+
+
+@pytest.mark.parametrize("block_columns", [10, regions.BLOCK_COLUMNS])
+@pytest.mark.parametrize("build, region", GRIDS, ids=[f"{b.__name__}-{r.dim}d" for b, r in GRIDS])
+def test_any_first_walk_leaves_the_same_radius_and_gram(build, region, block_columns, monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", block_columns)
+    field, x0 = _smooth(region.dim), np.asarray(region.x0)
+    sums = {}
+    for reader, walk in _FIRST_WALKS.items():
+        sample = build(region)
+        walk(sample, field, x0)
+        assert sample._sums is not None, reader
+        sums[reader] = sample._sums
+    radius, gram = sums.pop("estimate")
+    for reader, (other_radius, other_gram) in sums.items():
+        assert other_radius == radius and np.array_equal(other_gram, gram), reader
 
 
 def test_blocks_are_whole_slices_of_the_slowest_axis(monkeypatch):
@@ -253,6 +278,27 @@ def test_a_row_fills_each_block_once_and_evaluates_n_plus_one_points(region, blo
     assert fills == blocks
     assert sum(points) == (60 + 1) + (8**2 + 1)  # the row's N + 1 points and the limit's nodes + 1
     assert (result.rows[0].centered_bound is None) == (region == "rect")
+
+
+# a 64^2 box with sides (1, 1e-12) is numerically rank deficient, sigma_min / sigma_max ~ 1e-12 < 4096 eps:
+# one block reuses the walk's increments (the field was evaluated 2N + 2 times), four evaluate again
+@pytest.mark.parametrize("block_columns, evaluations", [(regions.BLOCK_COLUMNS, 4097), (1024, 2 * 4097)], ids=["one-block", "four-blocks"])
+def test_svd_route_evaluates_again_only_past_one_block(block_columns, evaluations, monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", block_columns)
+    field, x0 = get_field("cubic2").field, (1.0, 1.0)
+    sample = rect_grid_sample(HyperrectRegion(x0, (1.0, 1e-12), (64, 64)))
+    points, call = [], ScalarField.__call__
+
+    def counting_call(self, p):
+        points.append(len(np.atleast_2d(p)))
+        return call(self, p)
+
+    monkeypatch.setattr(ScalarField, "__call__", counting_call)
+    est = simplex_gradient(field, x0, sample)
+    assert est.route == "svd"
+    assert sum(points) == evaluations
+    monkeypatch.undo()
+    assert np.array_equal(est.estimate, pseudoinverse(sample.directions).T @ function_increments(field, x0, sample))
 
 
 @pytest.mark.parametrize("region", ["rect", "ball"])
