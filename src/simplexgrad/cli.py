@@ -60,6 +60,16 @@ def _parse_power(tok: str) -> int:
     return int(tok[2:])
 
 
+def _parse_numbers(option: str, text: str | None) -> tuple[float, ...] | None:
+    """The comma-separated numbers given to ``option`` (None if it was not given); ``ValueError`` names the option."""
+    if text is None:
+        return None
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} must be comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="simplexgrad", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -113,7 +123,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    x0 = None if args.x0 is None else tuple(float(t) for t in args.x0.split(","))
+    x0 = _parse_numbers("--x0", args.x0)
     per_axis = _parse_schedule(args.schedule)
     dim = get_field(args.field).field.dim
     schedule = tuple((c,) * dim for c in per_axis)
@@ -122,7 +132,7 @@ def _cmd_convergence(args) -> int:
         region=args.region,
         schedule=schedule,
         x0=x0,
-        sides=None if args.sides is None else tuple(float(t) for t in args.sides.split(",")),
+        sides=_parse_numbers("--sides", args.sides),
         radius=args.radius,
         sample=args.sample,
         nodes=args.nodes,

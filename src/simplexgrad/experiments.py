@@ -332,7 +332,7 @@ def convergence(config: ExperimentConfig) -> ConvergenceResult:
             sample = ball_grid_sample(region)
             mirrored = sample.dim == 2 and counts[1] % 2 == 0
         # the estimate walks the sample once; the bounds and the half then read its cached sums
-        # (taken first, the half would walk S on its own and the estimate would walk it again)
+        # (taken first, a bound would walk S on its own and the estimate would walk it again)
         est = simplex_gradient(field, x0, sample)
         classical = classical_bound(sample, grad_lip)
         centered = None

@@ -135,11 +135,13 @@ def _cause(exc: Exception) -> str:
 
 
 def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"):
-    """Yield ``(start, block, increments)`` for each ``(start, block)`` of ``blocks``.
+    """Yield ``(start, block, increments, *payload)`` for each ``(start, block, *payload)`` of ``blocks``.
 
     ``blocks`` yields a sample's column blocks (its one walk,
-    ``SampleMatrix._blocks``) or the limit quadrature's node parts, each
-    taken only once the previous block's increments have been yielded.
+    ``SampleMatrix._blocks``, with no payload) or the limit quadrature's
+    node parts (with their weights as payload), each taken only once the
+    previous block's increments have been yielded. A block's payload is
+    passed through untouched, so it travels with its block.
 
     ``block`` is an n x m block of columns whose first has index ``start``;
     its increments are ``f(x0 + block[:, j]) - f(x0)``. f(x0) is evaluated
@@ -158,7 +160,7 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
         raise EvaluationError(-1, x0, _cause(exc), unit) from exc
     if not math.isfinite(base):
         raise EvaluationError(-1, x0, f"non-finite value {base}", unit)
-    for start, block in blocks:
+    for start, block, *payload in blocks:
         if len(block) != field.dim:
             raise ValueError(f"points must have {field.dim} components")
         # x0 added one coordinate at a time: on the limit's node blocks (n x m views of C-ordered
@@ -195,7 +197,7 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
             if bad.size:
                 j = int(bad[0])
                 raise EvaluationError(start + j, x0 + block[:, j], f"non-finite increment {increments[j]}", unit)
-        yield start, block, increments
+        yield start, block, increments, *payload
 
 
 def function_increments(field: ScalarField, x0, sample) -> np.ndarray:

@@ -57,20 +57,14 @@ def _moments(field: ScalarField, x0, m: int, build) -> np.ndarray:
 
     t is the increment ``f(x0 + p) - f(x0)``; f(x0) is evaluated once.
     ``build(part)`` returns one part's nodes and weights (see
-    ``quadrature._parts``).
+    ``quadrature._parts``); each part's weights ride through the shared
+    increments walk as its block's payload.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     moments = np.zeros(field.dim)
-    weights = []  # each part's weights, popped below: _increments consumes one block per yield
-
-    def blocks():
-        for start, points, w in _parts(field.dim, m, build):
-            weights.append(w)
-            yield start, points.T
-
+    parts = ((start, points.T, w) for start, points, w in _parts(field.dim, m, build))
     with _quiet_overflow():
-        for _, block, increments in _increments(field, x0, blocks(), unit="node"):
-            w = weights.pop()
+        for _, block, increments, w in _increments(field, x0, parts, unit="node"):
             moments += (w * increments) @ block.T
             del w  # freed before the next part is built: held, a 128^3 ball limit faulted in ~150 more pages a call
     if not np.isfinite(moments).all():

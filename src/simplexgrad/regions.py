@@ -117,23 +117,26 @@ class SampleMatrix:
     ``directions`` is n x N; ``indices`` is N x n and holds the 1-based
     multi-index of the cell each column samples (``None`` for a plain array
     wrapped by the estimator or the bounds). Both are read-only. A sample
-    built from arrays holds them as given; the grid builders return a lazy
-    sample that keeps its region and builds both arrays only on first
-    access.
+    built from arrays holds them as given; the three builders and the
+    antipodal half return a lazy sample that keeps its region and builds
+    both arrays only on first access.
 
     Every sample is cut into blocks here, the antipodal half of a planar
     ball grid included. A sample holds its grid shape in column order,
     slowest axis first (N columns on one axis without a matching grid
     region), and one ``_block(lo, hi)`` function that returns slowest-axis
     slices ``lo..hi-1`` as an n x b array: a view for a sample built from
-    arrays, a freshly filled buffer for a grid builder. ``_blocks`` yields
+    arrays, a freshly filled buffer for a lazy sample. ``_blocks`` yields
     as many whole slices at a time as fit in ``BLOCK_COLUMNS``, and at
     least one; ``_block_bounds`` holds that rule, and the limit quadrature
     cuts its nodes into parts by it too.
     One walk, ``_blocks``, sums the radius and ``S S^T`` the first time it
     runs to its end, whoever runs it (the estimator, ``function_increments``,
     ``to_csv``, or a bound or ``radius`` through ``_walked``), and keeps
-    both in ``_sums``; the radius, the Gram spectrum and ``singular_range``,
+    both in ``_sums``, unless ``_sums`` was given: then the walk never sums,
+    and ``_sums`` is either the pair itself or a function that returns it
+    (the antipodal half's, which reads S's), called on first need and
+    replaced by its result. The radius, the Gram spectrum and ``singular_range``,
     the one reader of S's singular values for the estimator's route and
     cond and for the bounds, are read from there (an ill-conditioned S adds
     one SVD), so a fresh sample is read once. Each block's sums are the
@@ -169,7 +172,8 @@ class SampleMatrix:
     ) -> SampleMatrix:
         """Sample of a grid of ``shape`` cells (column order), written slice by slice:
         ``fill(out, lo, hi)`` writes slowest-axis slices ``lo..hi-1`` into ``out``, n x (hi - lo)
-        x ``shape[1:]``. ``sums``, if given, are the walk's (see ``_blocks``)."""
+        x ``shape[1:]``. ``sums``, if given, are the walk's, or a function that returns them (see
+        ``_walked``)."""
         dim = region.dim
 
         def block(lo, hi):
@@ -221,8 +225,10 @@ class SampleMatrix:
         return idx
 
     def _walked(self) -> tuple[float, np.ndarray]:
-        """The radius and ``S S^T``, from a walk run to its end if none has."""
-        if self._sums is None:
+        """The radius and ``S S^T``: ``_sums``, called first if it is a function, or summed by a walk run to its end."""
+        if callable(self._sums):
+            self._sums = self._sums()
+        elif self._sums is None:
             for _ in self._blocks():
                 pass
         return self._sums
@@ -434,24 +440,35 @@ def rect_arbitrary_sample(region: HyperrectRegion, offsets=None, seed=None) -> S
     The sampled point for a cell is its far corner minus ``offsets * h``
     componentwise, with every offset in [0, 1] (0 keeps the far corner,
     1 reaches the near corner; cell boundaries are allowed). Offsets come
-    either from ``offsets`` (an (n, N) array) or from a seeded generator.
-    The column budget is that of ``rect_grid_sample``, which builds the
-    far corners.
+    either from ``offsets`` (an (n, N) array) or from a generator seeded by
+    ``seed``; giving both raises ``ValueError``. The sample owns one n x N
+    array, the shifts ``h * offsets`` (a copy, so a later write to the
+    caller's offsets moves no point), and is otherwise lazy like the grid
+    sample: each block is the far corners' block minus its shifts, and
+    ``directions`` and ``indices`` are built only when read (see
+    ``SampleMatrix``). The column budget is that of ``rect_grid_sample``,
+    which gives the far corners.
     """
     grid = rect_grid_sample(region)
-    n, cols = grid.directions.shape
-    if offsets is None:
-        rng = np.random.default_rng(seed)
-        off = rng.random((n, cols))
-    else:
-        off = np.asarray(offsets, dtype=float)
-        if off.shape != (n, cols):
-            raise ValueError(f"offsets must have shape {(n, cols)}, got {off.shape}")
-        if np.any(off < 0.0) or np.any(off > 1.0) or not np.all(np.isfinite(off)):
-            raise ValueError("offsets must lie in [0, 1]")
+    n, cols = region.dim, grid.n_columns
     h = np.asarray(region.sublengths)[:, None]
-    directions = grid.directions - h * off
-    return SampleMatrix(directions, "rect-arbitrary", grid.indices, region)
+    if offsets is None:
+        shift = np.random.default_rng(seed).random((n, cols))
+    else:
+        if seed is not None:
+            raise ValueError("give offsets or a seed, not both")
+        shift = np.array(offsets, dtype=float)  # a copy, so a later write to the caller's offsets moves no point
+        if shift.shape != (n, cols):
+            raise ValueError(f"offsets must have shape {(n, cols)}, got {shift.shape}")
+        if np.any(shift < 0.0) or np.any(shift > 1.0) or not np.all(np.isfinite(shift)):
+            raise ValueError("offsets must lie in [0, 1]")
+    shift *= h  # in place: the sample keeps this one n x N array
+    width = math.prod(grid._shape[1:])
+
+    def fill(out, lo, hi):
+        np.subtract(grid._block(lo, hi), shift[:, lo * width : hi * width], out=out.reshape(n, -1))
+
+    return SampleMatrix._lazy("rect-arbitrary", region, grid._shape, fill)
 
 
 def ball_grid_sample(region: BallRegion) -> SampleMatrix:
@@ -485,18 +502,23 @@ def antipodal_half(sample: SampleMatrix) -> SampleMatrix:
     first half-turn, n x N/2 and tagged ``ball-half``, on S's region and
     with the cell indices of its columns in S. Its radius and Gram are
     S's, the Gram halved: S S^T = 2 A A^T holds for S = [A, -A], so A's
-    Gram spectrum costs one 2 x 2 eigendecomposition and no pass over the
-    columns once S's are known (reading them here walks S if nothing has
-    yet). Like every sample it is read through ``SampleMatrix``'s one block
+    Gram spectrum costs one 2 x 2 eigendecomposition and no pass over A's
+    columns. Building A reads nothing of S: A's sums are a function that
+    reads S's the first time A's radius or Gram is needed (walking S then,
+    if nothing has yet), so a caller may take A before or after S's own
+    walk. Like every sample it is read through ``SampleMatrix``'s one block
     function, which fills the half-turn's columns only when something reads
-    them (the SVD route of its ``singular_range``, ``to_csv``).
+    them (the SVD route of its ``singular_range``, ``to_csv``); A's own walk
+    never sums.
     """
     if sample.tag != "ball-grid" or sample.dim != 2:
         raise ValueError("mirrored structure is only extracted from 2-d ball grids")
     if sample.region.counts[1] % 2 != 0:
         raise ValueError("azimuthal count must be even for the mirrored split")
-    # every column norm of S is one of A's
-    sums = sample.radius, sample.gram_spectrum[0] / 2.0
+
+    def sums():
+        return sample.radius, sample.gram_spectrum[0] / 2.0  # every column norm of S is one of A's
+
     return _polar_grid(sample.region, "ball-half", sample.region.counts[1] // 2, sums)
 
 

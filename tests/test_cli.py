@@ -235,6 +235,20 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--x0=1,,"], "error: --x0 must be comma-separated numbers, got '1,,'\n"),
+            (["--x0", "abc"], "error: --x0 must be comma-separated numbers, got 'abc'\n"),
+            (["--sides", "1,x"], "error: --sides must be comma-separated numbers, got '1,x'\n"),
+        ],
+        ids=["x0-empty-entry", "x0-word", "sides-word"],
+    )
+    def test_a_bad_number_list_names_its_option(self, args, message, capsys):
+        code = main(["convergence", "--field", "cubic2", "--region", "rect", *args, "--schedule", "4", "--nodes", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == message
+
     def test_reproduce_into_an_existing_file_is_a_usage_error(self, tmp_path, capsys):
         blocker = tmp_path / "artifacts"
         blocker.write_text("not a directory")

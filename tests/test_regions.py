@@ -136,6 +136,17 @@ class TestRectArbitrary:
         with pytest.raises(ValueError, match="shape"):
             rect_arbitrary_sample(SQUARE_REGION, offsets=np.zeros((2, 5)))
 
+    def test_offsets_and_a_seed_together_are_rejected(self):
+        with pytest.raises(ValueError, match="offsets or a seed, not both"):
+            rect_arbitrary_sample(SQUARE_REGION, offsets=np.zeros((2, 6)), seed=3)
+
+    def test_writing_the_callers_offsets_later_moves_no_point(self):
+        offsets = np.full((2, 6), 0.5)
+        sample = rect_arbitrary_sample(SQUARE_REGION, offsets=offsets)
+        offsets[:] = 1.0
+        want = rect_grid_sample(SQUARE_REGION).directions - 0.5 * np.array(SQUARE_REGION.sublengths)[:, None]
+        assert np.array_equal(sample.directions, want)
+
 
 class TestBallGrid:
     def test_worked_example_matrix(self):

@@ -34,6 +34,10 @@ def _smooth(n: int) -> ScalarField:
     )
 
 
+def rect_arbitrary_seeded(region: HyperrectRegion) -> SampleMatrix:
+    return regions.rect_arbitrary_sample(region, seed=11)
+
+
 GRIDS = [
     (rect_grid_sample, HyperrectRegion((0.5, -0.25), (1.0, 2.0), (5, 7))),
     (rect_grid_sample, HyperrectRegion((0.1, 0.2, 0.3), (1.0, 0.5, 2.0), (4, 5, 6))),
@@ -41,6 +45,7 @@ GRIDS = [
     (ball_grid_sample, BallRegion((0.5, -0.25), 1.5, (5, 8))),
     (ball_grid_sample, BallRegion((0.1, 0.2, 0.3), 0.8, (4, 5, 6))),
     (ball_grid_sample, BallRegion((0.0,) * 4, 0.9, (3, 4, 3, 5))),
+    (rect_arbitrary_seeded, HyperrectRegion((0.5, -0.25), (1.0, 2.0), (5, 7))),
 ]
 
 
@@ -313,6 +318,43 @@ def test_one_row_at_1024_squared_stays_small(region):
     # the materialized directions, indices and shifted points took 64.7 MB (rect) and 72.0 MB (ball);
     # the materialized half sample of the ball row took 8 MB of a 9.4 MB peak
     assert peak < 4 * 2**20
+
+
+def test_one_arbitrary_row_at_1024_squared_keeps_only_its_shifts(monkeypatch):
+    from simplexgrad import experiments
+
+    built, build = [], experiments.rect_arbitrary_sample
+    monkeypatch.setattr(experiments, "rect_arbitrary_sample", lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+    config = ExperimentConfig(field_id="cubic2", region="rect", sample="arbitrary", schedule=((1024, 1024),))
+    tracemalloc.start()
+    try:
+        convergence(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the materialized grid, offsets, directions and indices took a 66.7 MiB peak; the shifts alone are 16 MiB
+    assert peak < 24 * 2**20
+    assert "directions" not in vars(built[0]) and "indices" not in vars(built[0])
+
+
+def test_taking_the_half_first_reads_nothing_of_the_sample():
+    region = BallRegion((0.5, -0.25), 1.5, (5, 8))
+    field, x0 = _smooth(2), np.asarray(region.x0)
+    got = []
+    for half_first in (True, False):
+        sample = ball_grid_sample(region)
+        fills, block = [], sample._block
+        sample._block = lambda lo, hi: fills.append((lo, hi)) or block(lo, hi)
+        if half_first:
+            half = antipodal_half(sample)
+            assert sample._sums is None and not fills
+        estimate = simplex_gradient(field, x0, sample).estimate
+        if not half_first:
+            half = antipodal_half(sample)
+        got.append((estimate, centered_bound(half, 3.0).value))
+        assert fills == [(0, 5)]  # S is walked once, by the estimate
+    (first_estimate, first_bound), (then_estimate, then_bound) = got
+    assert np.array_equal(first_estimate, then_estimate) and first_bound == then_bound
 
 
 @pytest.mark.parametrize("limit", [limit_gradient_ball, limit_gradient_box], ids=["ball", "box"])

@@ -5,9 +5,10 @@ Usage::
     python tools/compare_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository. For each, the script
-runs the three ``convergence`` commands of the README, four more (a 3-d
-ball, an arbitrary rect sample, a 2-d ball with odd and even counts, and a
-thin box whose last rows take the estimator's SVD route) and every
+runs the three ``convergence`` commands of the README, five more (a 3-d
+ball, an arbitrary rect sample of one block a row, the same sample at
+128^2..512^2, of 1, 4 and 16 blocks a row, a 2-d ball with odd and even
+counts, and a thin box whose last rows take the estimator's SVD route) and every
 ``reproduce <id> --out`` example, as ``python -m
 simplexgrad.cli`` with that checkout's ``src/`` on ``PYTHONPATH`` and a
 fresh temporary directory as the working directory. It compares the exit
@@ -40,12 +41,15 @@ COMMANDS = [
     ("convergence ball", ["convergence", "--field", "cubic2", "--region", "ball", "--radius", "1.0",
                           "--schedule", "2^2..2^7", "--nodes", "64", "--seed", "0", "--out", "{out}/ball.csv"]),
     ("convergence x0", ["convergence", "--field", "quad2", "--region", "rect", "--x0=-0.5,1", "--schedule", "4,8"]),
-    # beyond the README: the 3-d limit with its polar angles, the arbitrary sample, odd and even ball counts,
-    # and a thin box (exit 1: its roundoff exceeds the zero bounds of an affine field)
+    # beyond the README: the 3-d limit with its polar angles, the arbitrary sample in one block a row and in several,
+    # odd and even ball counts, and a thin box (exit 1: its roundoff exceeds the zero bounds of an affine field)
     ("convergence ball 3-d", ["convergence", "--field", "affine3", "--region", "ball", "--schedule", "3,5,9",
                               "--nodes", "32", "--out", "{out}/ball3.csv"]),
     ("convergence rect arbitrary", ["convergence", "--field", "cubic2", "--region", "rect", "--sample", "arbitrary",
                                     "--seed", "7", "--schedule", "4,8,16", "--nodes", "32", "--out", "{out}/arb.csv"]),
+    ("convergence rect arbitrary blocks", ["convergence", "--field", "cubic2", "--region", "rect", "--sample",
+                                           "arbitrary", "--seed", "7", "--schedule", "2^7..2^9", "--nodes", "32",
+                                           "--out", "{out}/arb-blocks.csv"]),
     ("convergence ball mirrored", ["convergence", "--field", "cubic2", "--region", "ball", "--schedule", "3,4,6",
                                    "--nodes", "32", "--out", "{out}/mirrored.csv"]),
     ("convergence thin box", ["convergence", "--field", "affine2", "--region", "rect", "--sides", "1,1e-11",
