@@ -61,18 +61,20 @@ def classical_bound(sample, grad_lipschitz: float) -> BoundReport:
     return _sample_bound(sample, radius, cols, 2.0, 1, "L_grad", grad_lipschitz, "classical", "sample matrix")
 
 
-def centered_bound(half_sample, hess_lipschitz: float, radius: float | None = None) -> BoundReport:
+def centered_bound(half_sample, hess_lipschitz: float) -> BoundReport:
     """Bound for samples with the mirrored structure ``[A, -A]``.
 
     ``half_sample`` is A (n x N/2); the full sample has N = 2 cols(A)
     columns and the bound is ``(sqrt(N)/6) L_H |pinv(Ahat^T)| Delta^2``
-    with ``Ahat = A / Delta``. ``hess_lipschitz`` must be valid on the
-    ball of radius Delta about the reference point.
+    with ``Ahat = A / Delta``. Delta is A's radius (largest column norm),
+    which is the full sample's too: every column norm of [A, -A] is one of
+    A's. ``hess_lipschitz`` must be valid on the ball of radius Delta about
+    the reference point.
     """
     hess_lipschitz = _constant(hess_lipschitz, "hess_lipschitz")
     half_sample = _as_sample(half_sample)
     half_cols = half_sample.n_columns
-    delta = _lengths((sample_radius(half_sample) if radius is None else radius,), "radius")[0]
+    delta = sample_radius(half_sample)
     return _sample_bound(
         half_sample, delta, 2 * half_cols, 6.0, 2, "L_hess", hess_lipschitz, "classical-centered", "half sample"
     )
@@ -80,10 +82,11 @@ def centered_bound(half_sample, hess_lipschitz: float, radius: float | None = No
 
 def _sample_bound(sample, delta, cols, divisor, power, name, lipschitz, kind, what) -> BoundReport:
     """``(sqrt(cols)/divisor) L |pinv(Xhat^T)| delta^power``, Xhat = ``sample`` / delta and L = ``lipschitz``;
-    ``RankDeficiencyError`` naming ``what`` when sigma_min(Xhat) <= 1e-12 sigma_max(Xhat)."""
-    smin, smax = (sv / delta for sv in sample.singular_range)
+    ``RankDeficiencyError`` naming ``what`` when sigma_min(S) <= 1e-12 sigma_max(S), an all-zero S included."""
+    smin, smax = sample.singular_range
     if smin <= 1e-12 * smax:
         raise RankDeficiencyError(f"{what} must have full row rank")
+    smin /= delta
     value = math.sqrt(cols) / divisor * lipschitz * (1.0 / smin) * delta**power
     return BoundReport(
         value=value,

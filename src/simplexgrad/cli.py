@@ -41,7 +41,7 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
             klo = _parse_power(lo)
             khi = _parse_power(hi)
         else:
-            return tuple(int(tok) for tok in text.split(",") if tok)
+            return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(
             f"invalid schedule {text!r} ({exc}); use '2^a..2^b' (powers of two) or a list like '4,8,16'"

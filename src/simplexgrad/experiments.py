@@ -4,8 +4,8 @@
 computed-versus-expected at fixed tolerances. ``convergence`` runs a
 schedule of sample densities for one field on one region and emits a
 versioned CSV with, per row, the finite-sample gradient error, the
-classical bound, the mirrored-structure bound where the sample has one
-(2-d ball grids with an even azimuthal count), the N-independent limit bound,
+classical bound, the mirrored-structure bound where ``antipodal_half`` finds
+a half (2-d ball grids with an even azimuthal count), the N-independent limit bound,
 and the limit-estimate error. Rows are deterministic for a fixed seed.
 """
 
@@ -259,14 +259,14 @@ class ConvergenceResult:
     config: ExperimentConfig
     rows: list[ConvergenceRow]
 
-    def dominated(self, slack: float = DOMINATION_SLACK) -> bool:
-        """True when every row's error sits at or below its bounds; a NaN error or bound is a violation."""
+    def dominated(self) -> bool:
+        """True when every row's error is at most each bound + ``DOMINATION_SLACK``; a NaN error or bound fails."""
         for row in self.rows:
-            if not row.gsg_error <= row.classical_bound + slack:
+            if not row.gsg_error <= row.classical_bound + DOMINATION_SLACK:
                 return False
-            if row.centered_bound is not None and not row.gsg_error <= row.centered_bound + slack:
+            if row.centered_bound is not None and not row.gsg_error <= row.centered_bound + DOMINATION_SLACK:
                 return False
-            if not row.limit_error <= row.limit_bound + slack:
+            if not row.limit_error <= row.limit_bound + DOMINATION_SLACK:
                 return False
         return True
 
@@ -326,19 +326,15 @@ def convergence(config: ExperimentConfig) -> ConvergenceResult:
             else:
                 # one deterministic offset stream per schedule row
                 sample = rect_arbitrary_sample(region, seed=[config.seed, i])
-            mirrored = False
         else:
             region = BallRegion(x0=tuple(x0), r=config.radius, counts=counts)
             sample = ball_grid_sample(region)
-            mirrored = sample.dim == 2 and counts[1] % 2 == 0
         # the estimate walks the sample once; the bounds and the half then read its cached sums
         # (taken first, a bound would walk S on its own and the estimate would walk it again)
         est = simplex_gradient(field, x0, sample)
         classical = classical_bound(sample, grad_lip)
-        centered = None
-        if mirrored:
-            half = antipodal_half(sample)
-            centered = centered_bound(half, hess_lip).value
+        half = antipodal_half(sample)  # None for every rect sample, so hess_lip is read only on ball runs
+        centered = None if half is None else centered_bound(half, hess_lip).value
         rows.append(
             ConvergenceRow(
                 index=i,

@@ -113,12 +113,13 @@ def field_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def check_gradient_consistency(field: ScalarField, points, step: float = 1e-6) -> float:
-    """Largest deviation between the analytic gradient and central differences.
+def check_gradient_consistency(field: ScalarField, points) -> float:
+    """Largest deviation between the analytic gradient and central differences of step 1e-6.
 
     Used to validate registry entries; returns the max absolute
     componentwise difference over the given points.
     """
+    step = 1e-6
     worst = 0.0
     for x in np.atleast_2d(np.asarray(points, dtype=float)):
         g = field.gradient(x)

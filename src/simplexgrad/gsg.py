@@ -40,8 +40,8 @@ class EvaluationError(RuntimeError):
 
 
 def _quiet_overflow() -> np.errstate:
-    # a field that overflows yields inf or nan, which the callers' finiteness checks report
-    return np.errstate(over="ignore", invalid="ignore")
+    # a field that overflows or divides by zero yields inf or nan, which the callers' finiteness checks report
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass(frozen=True)

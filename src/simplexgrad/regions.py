@@ -114,17 +114,18 @@ class BallRegion(_GridRegion):
 class SampleMatrix:
     """Direction matrix with per-column cell indices, read in column blocks.
 
-    ``directions`` is n x N; ``indices`` is N x n and holds the 1-based
-    multi-index of the cell each column samples (``None`` for a plain array
-    wrapped by the estimator or the bounds). Both are read-only. A sample
+    ``directions`` is n x N; ``indices`` is an N x n integer array and holds
+    the 1-based multi-index of the cell each column samples (``None`` for a
+    plain array wrapped by the estimator or the bounds); any other
+    ``indices`` raises ``ValueError``. Both are read-only. A sample
     built from arrays holds them as given; the three builders and the
     antipodal half return a lazy sample that keeps its region and builds
     both arrays only on first access.
 
     Every sample is cut into blocks here, the antipodal half of a planar
     ball grid included. A sample holds its grid shape in column order,
-    slowest axis first (N columns on one axis without a matching grid
-    region), and one ``_block(lo, hi)`` function that returns slowest-axis
+    slowest axis first (one flat axis of N columns for a sample built from
+    arrays), and one ``_block(lo, hi)`` function that returns slowest-axis
     slices ``lo..hi-1`` as an n x b array: a view for a sample built from
     arrays, a freshly filled buffer for a lazy sample. ``_blocks`` yields
     as many whole slices at a time as fit in ``BLOCK_COLUMNS``, and at
@@ -146,25 +147,19 @@ class SampleMatrix:
     from arrays must have finite directions.
     """
 
-    def __init__(
-        self,
-        directions: np.ndarray,
-        tag: str,
-        indices: np.ndarray | None,
-        region: HyperrectRegion | BallRegion | None = None,
-    ):
+    def __init__(self, directions: np.ndarray, tag: str, indices: np.ndarray | None):
         if not np.isfinite(directions).all():
             raise ValueError("sample directions must be finite")
-        directions.flags.writeable = False
-        if indices is not None:
-            indices.flags.writeable = False
-        self.__dict__.update(directions=directions, indices=indices)
         dim, n_columns = directions.shape
-        shape = (n_columns,)
-        if region is not None and region.n_cells == n_columns:
-            shape = tuple(region.counts[a] for a in _column_order(region))
-        width = math.prod(shape[1:])
-        self._setup(tag, region, dim, shape, lambda lo, hi: directions[:, lo * width : hi * width])
+        if indices is not None:
+            if not (
+                isinstance(indices, np.ndarray) and indices.dtype.kind in "iu" and indices.shape == (n_columns, dim)
+            ):
+                raise ValueError(f"indices must be an (N, n) = {(n_columns, dim)} integer array")
+            indices.flags.writeable = False
+        directions.flags.writeable = False
+        self.__dict__.update(directions=directions, indices=indices)
+        self._setup(tag, None, dim, (n_columns,), lambda lo, hi: directions[:, lo:hi])
 
     @classmethod
     def _lazy(
@@ -493,28 +488,28 @@ def ball_grid_sample(region: BallRegion) -> SampleMatrix:
     return _polar_grid(region, "ball-grid", region.counts[1])
 
 
-def antipodal_half(sample: SampleMatrix) -> SampleMatrix:
-    """Half sample A with the full planar ball grid S equal to [A, -A] up to order.
+def antipodal_half(sample: SampleMatrix) -> SampleMatrix | None:
+    """Half sample A with the full planar ball grid S equal to [A, -A] up to order, or ``None``.
 
-    Requires a 2-d ball grid with an even azimuthal count: the column at
-    azimuthal index y2 + N2/2 is the negation of the one at y2. A is the
-    columns with y2 <= N2/2: the polar grid's own lazy sample over the
-    first half-turn, n x N/2 and tagged ``ball-half``, on S's region and
-    with the cell indices of its columns in S. Its radius and Gram are
-    S's, the Gram halved: S S^T = 2 A A^T holds for S = [A, -A], so A's
-    Gram spectrum costs one 2 x 2 eigendecomposition and no pass over A's
-    columns. Building A reads nothing of S: A's sums are a function that
-    reads S's the first time A's radius or Gram is needed (walking S then,
-    if nothing has yet), so a caller may take A before or after S's own
-    walk. Like every sample it is read through ``SampleMatrix``'s one block
-    function, which fills the half-turn's columns only when something reads
-    them (the SVD route of its ``singular_range``, ``to_csv``); A's own walk
-    never sums.
+    Only a 2-d ball grid with an even azimuthal count N2 has one: the
+    column at azimuthal index y2 + N2/2 is the negation of the one at y2.
+    For any other sample (a rect sample, a ball grid in 3 or more
+    dimensions or with an odd N2, an array sample whatever its tag) this
+    returns ``None``, so it is the one test of whether a sample mirrors.
+    A is the columns with y2 <= N2/2: the polar grid's own lazy sample over
+    the first half-turn, n x N/2 and tagged ``ball-half``, on S's region
+    and with the cell indices of its columns in S. Its radius and Gram are S's, the Gram halved: S S^T =
+    2 A A^T holds for S = [A, -A], so A's Gram spectrum costs one 2 x 2
+    eigendecomposition and no pass over A's columns. Building A reads
+    nothing of S: A's sums are a function that reads S's the first time A's
+    radius or Gram is needed (walking S then, if nothing has yet), so a
+    caller may take A before or after S's own walk. Like every sample it is
+    read through ``SampleMatrix``'s one block function, which fills the
+    half-turn's columns only when something reads them (the SVD route of
+    its ``singular_range``, ``to_csv``); A's own walk never sums.
     """
-    if sample.tag != "ball-grid" or sample.dim != 2:
-        raise ValueError("mirrored structure is only extracted from 2-d ball grids")
-    if sample.region.counts[1] % 2 != 0:
-        raise ValueError("azimuthal count must be even for the mirrored split")
+    if sample.tag != "ball-grid" or sample.region is None or sample.dim != 2 or sample.region.counts[1] % 2 != 0:
+        return None
 
     def sums():
         return sample.radius, sample.gram_spectrum[0] / 2.0  # every column norm of S is one of A's

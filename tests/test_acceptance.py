@@ -278,7 +278,7 @@ def test_bound_domination():
         if kind == "ball" and sample.dim == 2 and sample.region.counts[1] % 2 == 0:
             half = antipodal_half(sample)
             lip_hess = entry.hess_lipschitz_on(x0, radius)
-            cb = centered_bound(half, lip_hess, radius=radius)
+            cb = centered_bound(half, lip_hess)
             if est.error > cb.value + DOMINATION_SLACK:
                 violations.append(f"centered {entry.id} N={sample.n_columns}")
     for fid in ("quad2", "cubic2", "affine2"):
@@ -353,7 +353,7 @@ def test_figure_reproduction():
             problems.append(f"{cfg.region}: not deterministic")
         if len({row.limit_bound for row in first.rows}) != 1:
             problems.append(f"{cfg.region}: limit bound not constant")
-        if not first.dominated(DOMINATION_SLACK):
+        if not first.dominated():
             problems.append(f"{cfg.region}: domination violated")
         errors = [row.gsg_error for row in first.rows]
         tail = errors[1:]  # beyond the smallest grid

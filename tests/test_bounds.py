@@ -80,7 +80,7 @@ class TestCenteredBound:
         a = RNG.normal(size=(2, 6))
         s = np.hstack([a, -a])
         est = simplex_gradient(quad.field, (3.0, 1.0), s)
-        report = centered_bound(a, quad.hess_lipschitz_on((3.0, 1.0), sample_radius(s)), radius=sample_radius(s))
+        report = centered_bound(a, quad.hess_lipschitz_on((3.0, 1.0), sample_radius(s)))
         assert report.value == 0.0
         assert est.error <= 1e-9
 
@@ -96,17 +96,26 @@ class TestCenteredBound:
             s = np.hstack([a, -a])
             radius = sample_radius(s)
             est = simplex_gradient(cubic.field, x0, s)
-            report = centered_bound(a, cubic.hess_lipschitz_on(x0, radius), radius=radius)
+            report = centered_bound(a, cubic.hess_lipschitz_on(x0, radius))
             assert est.error <= report.value + 1e-9
 
     def test_rank_deficient_half_rejected(self):
         with pytest.raises(RankDeficiencyError):
             centered_bound(np.array([[1.0, 2.0], [2.0, 4.0]]), 1.0)
 
-    @pytest.mark.parametrize("radius", [None, 1.0])
-    def test_empty_half_rejected(self, radius):
+    def test_empty_half_rejected(self):
         with pytest.raises(ValueError, match="sample matrix is empty"):
-            centered_bound(np.zeros((2, 0)), 1.0, radius=radius)
+            centered_bound(np.zeros((2, 0)), 1.0)
+
+    def test_delta_is_the_radius_of_the_mirrored_sample(self):
+        a = np.random.default_rng(5).normal(size=(3, 7))
+        s = np.hstack([a, -a])
+        assert centered_bound(a, 2.0).constants["radius"] == sample_radius(s)
+
+    @pytest.mark.parametrize("bound", [classical_bound, centered_bound], ids=["classical", "centered"])
+    def test_all_zero_sample_is_rank_deficient(self, bound):
+        with pytest.raises(RankDeficiencyError):
+            bound(np.zeros((2, 3)), 1.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -192,10 +201,10 @@ class TestSpectralRoute:
     def test_centered_matches_svd(self, name):
         sample = SPECTRAL_SAMPLES[name]()
         half = np.array(sample.directions)
-        delta = 1.25 * sample_radius(sample)
+        delta = sample_radius(sample)
         want = svd_centered_value(half, 0.8, delta)
-        assert centered_bound(half, 0.8, radius=delta).value == pytest.approx(want, rel=1e-12)
-        assert centered_bound(sample, 0.8, radius=delta).value == pytest.approx(want, rel=1e-12)
+        assert centered_bound(half, 0.8).value == pytest.approx(want, rel=1e-12)
+        assert centered_bound(sample, 0.8).value == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n2", [4, 6, 10, 16, 32, 50, 64])
     def test_mirrored_ball_half_matches_svd(self, n2):
@@ -203,7 +212,7 @@ class TestSpectralRoute:
         half = antipodal_half(sample)
         delta = sample_radius(sample)
         # the halved Gram of S: no pass over the half's columns and no half array
-        value = centered_bound(half, 6.0, radius=delta).value
+        value = centered_bound(half, 6.0).value
         assert "directions" not in vars(half)
         want = svd_centered_value(half.directions, 6.0, delta)
         assert value == pytest.approx(want, rel=1e-12)
@@ -214,7 +223,7 @@ class TestSpectralRoute:
         assert eigvals[0] < 1e-6 * eigvals[-1]  # cond(S) > 1e3: outside the Gram route
         assert classical_bound(sample, 2.0).value == svd_classical_value(np.array(sample.directions), 2.0)
         delta = sample_radius(sample)
-        assert centered_bound(sample, 3.0, radius=delta).value == svd_centered_value(
+        assert centered_bound(sample, 3.0).value == svd_centered_value(
             np.array(sample.directions), 3.0, delta
         )
 

@@ -249,6 +249,13 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("schedule", ["4,,8", "4,", ",4"])
+    def test_an_empty_schedule_entry_is_rejected(self, schedule, capsys):
+        code = main(["convergence", "--field", "cubic2", "--region", "rect", "--schedule", schedule, "--nodes", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid schedule {schedule!r} (") and err.count("\n") == 1
+
     def test_reproduce_into_an_existing_file_is_a_usage_error(self, tmp_path, capsys):
         blocker = tmp_path / "artifacts"
         blocker.write_text("not a directory")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simplexgrad import regions
+from simplexgrad import experiments, regions
 from simplexgrad.experiments import (
     REPRODUCE_IDS,
     ConvergenceResult,
@@ -15,7 +15,14 @@ from simplexgrad.experiments import (
     convergence,
     reproduce,
 )
-from simplexgrad.regions import BallRegion, ball_grid_sample, sample_radius
+from simplexgrad.regions import (
+    BallRegion,
+    HyperrectRegion,
+    ball_grid_sample,
+    rect_arbitrary_sample,
+    rect_grid_sample,
+    sample_radius,
+)
 
 
 class TestReproduce:
@@ -93,8 +100,25 @@ class TestAntipodalHalf:
 
     def test_odd_azimuthal_count_rejected(self):
         sample = ball_grid_sample(BallRegion((0.0, 0.0), 1.0, (3, 5)))
-        with pytest.raises(ValueError, match="even"):
-            antipodal_half(sample)
+        assert antipodal_half(sample) is None
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 1.0), (4, 4))),
+            lambda: rect_arbitrary_sample(HyperrectRegion((0.0, 0.0), (1.0, 1.0), (4, 4)), seed=0),
+            lambda: ball_grid_sample(BallRegion((0.0,) * 3, 1.0, (3, 4, 3))),
+            # an array sample has no grid region, whatever its tag
+            lambda: regions.SampleMatrix(
+                np.array(ball_grid_sample(BallRegion((0.0, 0.0), 1.0, (3, 4))).directions), "ball-grid", None
+            ),
+        ],
+        ids=["rect-grid", "rect-arbitrary", "ball-3d", "array-tagged-ball-grid"],
+    )
+    def test_a_sample_that_does_not_mirror_has_no_half(self, build):
+        sample = build()
+        assert antipodal_half(sample) is None
+        assert sample._sums is None  # and nothing of the sample was read
 
 
 class TestConvergence:
@@ -124,6 +148,33 @@ class TestConvergence:
         result = convergence(config)
         assert all(row.centered_bound is not None for row in result.rows)
         assert result.dominated()
+
+    @pytest.mark.parametrize(
+        "field_id, region, sample, schedule, mirrored",
+        [
+            ("cubic2", "rect", "grid", ((4, 4), (4, 6)), [False, False]),
+            ("cubic2", "rect", "arbitrary", ((4, 4),), [False]),
+            ("cubic2", "ball", "grid", ((4, 4), (4, 5), (3, 6)), [True, False, True]),
+            ("affine3", "ball", "grid", ((3, 4, 3),), [False]),
+        ],
+        ids=["rect-grid", "rect-arbitrary", "ball-2d", "ball-3d"],
+    )
+    def test_centered_bound_is_blank_exactly_where_there_is_no_half(
+        self, field_id, region, sample, schedule, mirrored, monkeypatch
+    ):
+        halves = []
+
+        def recording_half(s):
+            halves.append(antipodal_half(s))
+            return halves[-1]
+
+        monkeypatch.setattr(experiments, "antipodal_half", recording_half)
+        config = ExperimentConfig(field_id=field_id, region=region, sample=sample, schedule=schedule, nodes=8)
+        result = convergence(config)
+        assert [half is not None for half in halves] == mirrored
+        lines = result.to_csv().splitlines()[9:]
+        for row, half, line in zip(result.rows, halves, lines, strict=True):
+            assert (row.centered_bound is None) == (half is None) == (line.split(",")[6] == "")
 
     def test_affine_field_errors_vanish(self):
         config = ExperimentConfig(

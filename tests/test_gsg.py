@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,29 @@ def random_full_rank_sample(n: int, cols: int) -> np.ndarray:
         sv = np.linalg.svd(s, compute_uv=False)
         if sv[-1] > 1e-3 * sv[0]:
             return s
+
+
+# a divide-by-zero warning leaked before the error, or under warnings-as-errors replaced its message
+@pytest.mark.parametrize(
+    "evaluate, message",
+    [
+        # x0 = (-7, 0) puts column 1, (8, 3), on the pole x1 = 1
+        (
+            lambda: function_increments(ScalarField(2, lambda x: 1.0 / (x[:, 0] - 1.0)), (-7.0, 0.0), SQUARE_SAMPLE),
+            r"column 1 \(point \[1\. 3\.\]\): non-finite increment inf$",
+        ),
+        (
+            lambda: limit_gradient_box(ScalarField(2, lambda x: np.log(x[:, 0])), (0, 0), (1, 1), QuadratureSpec(4)),
+            r"node -1 \(point \[0\. 0\.\]\): non-finite value -inf$",
+        ),
+    ],
+    ids=["pole", "log-at-x0"],
+)
+def test_a_division_by_zero_is_a_non_finite_value_and_warns_nothing(evaluate, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=message):
+            evaluate()
 
 
 class TestFunctionIncrements:

@@ -375,3 +375,15 @@ class TestCsv:
     def test_sample_without_cell_indices_is_rejected(self):
         with pytest.raises(ValueError, match="no cell indices"):
             SampleMatrix(np.eye(2), "x", None).to_csv()
+
+    # a (2, 2) array wrote a header of 3 columns and 2 rows; float indices printed as 1.5
+    @pytest.mark.parametrize(
+        "indices",
+        [np.ones((2, 2), dtype=np.int64), np.ones((2, 3), dtype=np.int64), np.full((3, 2), 1.5), [[1, 1]] * 3],
+        ids=["too-few-rows", "transposed", "float", "list"],
+    )
+    def test_malformed_cell_indices_are_rejected(self, indices):
+        with pytest.raises(ValueError, match=r"indices must be an \(N, n\) = \(3, 2\) integer array"):
+            SampleMatrix(np.ones((2, 3)), "x", indices)
+        lines = SampleMatrix(np.ones((2, 3)), "x", np.ones((3, 2), dtype=np.int64)).to_csv().splitlines()
+        assert lines[1] == "2,3,x" and len(lines) == 3 + 3

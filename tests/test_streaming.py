@@ -63,10 +63,10 @@ def _everything(sample, field, x0, estimate_first: bool = False) -> dict:
     if not estimate_first:
         out["estimate"] = simplex_gradient(field, x0, sample).estimate
     out["classical"] = classical_bound(sample, 2.0).value
-    out["centered"] = centered_bound(sample, 3.0, radius=out["radius"]).value
+    out["centered"] = centered_bound(sample, 3.0).value
     if isinstance(sample.region, BallRegion) and sample.dim == 2:
         half = antipodal_half(sample)
-        out["half_centered"] = centered_bound(half, 3.0, radius=out["radius"]).value
+        out["half_centered"] = centered_bound(half, 3.0).value
         out["half"] = half.directions
     return out
 
@@ -84,7 +84,13 @@ def test_lazy_and_materialized_samples_agree_bitwise(build, region, block_column
     directions, indices = touched.directions, touched.indices
 
     def from_arrays():
-        return SampleMatrix(np.array(directions), touched.tag, np.array(indices), region)
+        # the same grid cut into the same slices, each read from a copy of the materialized directions
+        copy, width = np.array(directions), np.prod(touched._shape[1:], dtype=int)
+
+        def fill(out, lo, hi):
+            out.reshape(region.dim, -1)[:] = copy[:, lo * width : hi * width]
+
+        return SampleMatrix._lazy(touched.tag, region, touched._shape, fill)
 
     # (sample, estimate_first): the estimate's walk summing the radius and Gram must change no bit
     others = [(touched, False), (from_arrays(), False), (build(region), True), (from_arrays(), True)]

@@ -8,8 +8,9 @@ PARENT and CHANGE are checkouts of this repository. For each, the script
 runs the three ``convergence`` commands of the README, five more (a 3-d
 ball, an arbitrary rect sample of one block a row, the same sample at
 128^2..512^2, of 1, 4 and 16 blocks a row, a 2-d ball with odd and even
-counts, and a thin box whose last rows take the estimator's SVD route) and every
-``reproduce <id> --out`` example, as ``python -m
+counts, and a thin box whose last rows take the estimator's SVD route), the
+three convergence workloads of the benchmark (``perfbench/workloads.py``) at
+seed 0, and every ``reproduce <id> --out`` example, 16 commands in all, as ``python -m
 simplexgrad.cli`` with that checkout's ``src/`` on ``PYTHONPATH`` and a
 fresh temporary directory as the working directory. It compares the exit
 codes, stdout (with the temporary directory masked) and every written file
@@ -54,6 +55,16 @@ COMMANDS = [
                                    "--nodes", "32", "--out", "{out}/mirrored.csv"]),
     ("convergence thin box", ["convergence", "--field", "affine2", "--region", "rect", "--sides", "1,1e-11",
                               "--schedule", "2^2..2^9", "--nodes", "16", "--out", "{out}/thin.csv"]),
+    # the benchmark's convergence workloads at seed 0 (perfbench/workloads.py)
+    ("convergence rect-grid", ["convergence", "--field", "cubic2", "--region", "rect", "--sides", "1,1",
+                               "--schedule", "2^2..2^11", "--nodes", "64", "--seed", "0",
+                               "--out", "{out}/rect-grid.csv"]),
+    ("convergence ball-polar", ["convergence", "--field", "cubic2", "--region", "ball", "--radius", "1",
+                                "--schedule", "2^2..2^11", "--nodes", "64", "--seed", "0",
+                                "--out", "{out}/ball-polar.csv"]),
+    ("convergence ball-3d-limit", ["convergence", "--field", "affine3", "--region", "ball",
+                                   "--schedule", "3,5,9,17,33,65", "--nodes", "128", "--seed", "0",
+                                   "--out", "{out}/ball-3d-limit.csv"]),
 ] + [(f"reproduce {rid}", ["reproduce", rid, "--out", "{out}/" + rid]) for rid in REPRODUCE_IDS]
 
 MASK = "<out>"
