@@ -15,8 +15,6 @@ from .bounds import (
     limit_bound_box,
 )
 from .closed_forms import (
-    DenseLimitMatrix,
-    GridGram,
     ball_gamma_ratio,
     ball_volume,
     dense_limit_matrix,
@@ -65,12 +63,10 @@ __all__ = [
     "BudgetExceededError",
     "CapabilityError",
     "ConvergenceResult",
-    "DenseLimitMatrix",
     "EvaluationError",
     "ExperimentConfig",
     "FieldEntry",
     "GradientEstimate",
-    "GridGram",
     "HyperrectRegion",
     "LimitGradientResult",
     "QuadratureSpec",

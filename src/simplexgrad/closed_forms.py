@@ -1,16 +1,16 @@
 """Closed forms attached to the rectangular grid and the ball.
 
-Everything here is an explicit formula: the Gram matrix of the
-rightmost-endpoint grid, its inverse (a diagonal matrix minus a rank-one
-term), the dense-sampling limit of the scaled inverse Gram (its
-side-length-free factor has spectral norm 12 for every n), ball volumes,
-and the gamma-ratio constant used by the ball error bound.
+Everything here is an explicit formula that returns the value it computes:
+the Gram matrix of the rightmost-endpoint grid, its inverse (a diagonal
+matrix minus a rank-one term), the dense-sampling limit of the scaled
+inverse Gram (its side-length-free factor, the unit-side matrix, has
+spectral norm 12 for every n), ball volumes, and the gamma-ratio constant
+used by the ball error bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from .linalg import gamma_half_integer
 from .regions import HyperrectRegion, _integer, _integers, _lengths
 
 __all__ = [
-    "GridGram",
-    "DenseLimitMatrix",
     "grid_gram",
     "grid_gram_inverse",
     "dense_limit_matrix",
@@ -36,30 +34,8 @@ def _check_counts_sublengths(counts, sublengths) -> tuple[np.ndarray, np.ndarray
     return counts, sublengths
 
 
-@dataclass(frozen=True)
-class GridGram:
-    """Gram matrix S S^T of the rightmost-endpoint grid, in closed form."""
-
-    counts: tuple[int, ...]
-    sublengths: tuple[float, ...]
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class DenseLimitMatrix:
-    """Limit of N (S S^T)^{-T} as every subdivision count grows.
-
-    ``matrix`` depends on the box side lengths d; ``normalized`` is the
-    side-length-free factor F with matrix = D^{-1} F D^{-1}, D = diag(d).
-    """
-
-    sides: tuple[float, ...]
-    matrix: np.ndarray
-    normalized: np.ndarray
-
-
-def grid_gram(counts, sublengths) -> GridGram:
-    """Closed-form S S^T for the rightmost-endpoint grid.
+def grid_gram(counts, sublengths) -> np.ndarray:
+    """Closed-form S S^T (n x n) for the rightmost-endpoint grid.
 
     Diagonal entries ``N (N_i+1)(2N_i+1)/6 * h_i^2`` and off-diagonal
     entries ``N (N_i+1)(N_j+1)/4 * h_i h_j``, where N is the total column
@@ -72,7 +48,7 @@ def grid_gram(counts, sublengths) -> GridGram:
     g = total * np.outer(row, row)
     diag = total * (counts + 1.0) * (2.0 * counts + 1.0) / 6.0 * sublengths**2
     g[np.diag_indices(n)] = diag
-    return GridGram(tuple(int(c) for c in counts), tuple(map(float, sublengths)), g)
+    return g
 
 
 def grid_gram_inverse(counts, sublengths) -> np.ndarray:
@@ -90,27 +66,25 @@ def grid_gram_inverse(counts, sublengths) -> np.ndarray:
     return 12.0 / total * (np.diag(e) - 3.0 / (1.0 + 3.0 * s) * np.outer(y, y))
 
 
-def _normalized_limit(n: int) -> np.ndarray:
-    f = np.full((n, n), -36.0 / (3.0 * n + 1.0))
-    f[np.diag_indices(n)] = 12.0 * (3.0 * n - 2.0) / (3.0 * n + 1.0)
-    return f
-
-
-def dense_limit_matrix(d) -> DenseLimitMatrix:
-    """Dense-sampling limit of ``N (S S^T)^{-T}`` for a box with sides ``d``.
+def dense_limit_matrix(d) -> np.ndarray:
+    """Dense-sampling limit D^{-1} F D^{-1} of ``N (S S^T)^{-T}`` for a box with sides ``d``.
 
     Diagonal entries ``12(3n-2) / (d_i^2 (3n+1))``, off-diagonal entries
-    ``-36 / (d_i d_j (3n+1))``. Sides so small that an entry overflows
-    (below about 1e-154) raise ``ValueError``.
+    ``-36 / (d_i d_j (3n+1))``, with D = diag(d). The side-length-free
+    factor F is the unit-side matrix ``dense_limit_matrix((1.0,) * n)``
+    (bitwise, as 1/1 = 1). Sides so small that an entry overflows (below
+    about 1e-154) raise ``ValueError``.
     """
     d = np.array(_lengths(np.ravel(d)))
-    normalized = _normalized_limit(_integer(d.size, "dimension", 2))
+    n = _integer(d.size, "dimension", 2)
+    f = np.full((n, n), -36.0 / (3.0 * n + 1.0))
+    f[np.diag_indices(n)] = 12.0 * (3.0 * n - 2.0) / (3.0 * n + 1.0)
     with np.errstate(over="ignore"):
         inv_d = 1.0 / d
-        matrix = normalized * np.outer(inv_d, inv_d)
+        matrix = f * np.outer(inv_d, inv_d)
     if not np.isfinite(matrix).all():
         raise ValueError(f"box sides {tuple(map(float, d))} are too small for the dense-limit matrix (1/d_i^2 overflows)")
-    return DenseLimitMatrix(tuple(map(float, d)), matrix, normalized)
+    return matrix
 
 
 def ball_volume(dim: int, r: float = 1.0) -> float:

@@ -189,7 +189,10 @@ class ExperimentConfig:
     the limit quadrature's ``nodes ** dim``, finite, positive sides and
     radius, and a nonnegative integer ``seed`` are checked on construction
     too (``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET``, else
-    ``ValueError``), before the limit quadrature or any row runs.
+    ``ValueError``), before the limit quadrature or any row runs. The
+    schedule, any iterable of rows, is kept as the tuple of int tuples its
+    checks build, so a later change to the caller's rows changes no run;
+    ``nodes`` and ``seed`` are kept as ints.
     """
 
     field_id: str
@@ -209,8 +212,6 @@ class ExperimentConfig:
             raise ValueError("sample must be 'grid' or 'arbitrary'")
         if self.region == "ball" and self.sample != "grid":
             raise ValueError("ball runs support only grid sampling")
-        if not self.schedule:
-            raise ValueError("schedule must be nonempty")
         entry = get_field(self.field_id)  # raises for unknown ids
         dim = entry.field.dim
         # rejected here too, before the limit quadrature runs on them
@@ -229,11 +230,17 @@ class ExperimentConfig:
             raise ValueError(f"x0 must have {dim} entries for field {self.field_id}, got {len(self.x0)}")
         # checked here, before the limit quadrature and any earlier row run
         least = (HyperrectRegion if self.region == "rect" else BallRegion).least
+        schedule = []
         for counts in self.schedule:
             if len(counts) != dim:
                 raise ValueError(f"schedule rows must have {dim} counts for field {self.field_id}, got {tuple(counts)}")
-            _check_budget(math.prod(_integers(counts, f"{self.region} subdivision counts", least)))
-        QuadratureSpec(self.nodes)  # rejects a non-integer node count or one below 2
+            schedule.append(_integers(counts, f"{self.region} subdivision counts", least))
+            _check_budget(math.prod(schedule[-1]))
+        if not schedule:
+            raise ValueError("schedule must be nonempty")
+        object.__setattr__(self, "schedule", tuple(schedule))
+        # rejects a non-integer node count or one below 2
+        object.__setattr__(self, "nodes", QuadratureSpec(self.nodes).nodes_per_axis)
         seed = _integer(self.seed, "seed")
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")

@@ -98,7 +98,7 @@ def limit_gradient_box(field: ScalarField, x0, d, spec: QuadratureSpec = Quadrat
     """Dense-grid limit of the simplex gradient over the box ``[x0, x0+d]``."""
     d = np.asarray(d, dtype=float).reshape(-1)
     moments = box_moment_vector(field, x0, d, spec)
-    return _result("box", d, x0, spec, moments, dense_limit_matrix(d).matrix @ moments / float(np.prod(d)))
+    return _result("box", d, x0, spec, moments, dense_limit_matrix(d) @ moments / float(np.prod(d)))
 
 
 def limit_gradient_ball(field: ScalarField, x0, r: float, spec: QuadratureSpec = QuadratureSpec()) -> LimitGradientResult:

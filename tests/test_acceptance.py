@@ -86,7 +86,7 @@ def test_gram_identity_sweep():
     worst = 0.0
     for n, counts, d in _gram_sweep():
         sample = rect_grid_sample(HyperrectRegion((0.0,) * n, tuple(d), counts))
-        closed = grid_gram(counts, d / np.asarray(counts)).matrix
+        closed = grid_gram(counts, d / np.asarray(counts))
         brute = sample.directions @ sample.directions.T
         worst = max(worst, np.linalg.norm(brute - closed) / np.linalg.norm(closed))
     elapsed = time.perf_counter() - start
@@ -98,7 +98,7 @@ def test_gram_inverse_sweep():
     worst = 0.0
     for n, counts, d in _gram_sweep():
         h = d / np.asarray(counts)
-        product = grid_gram_inverse(counts, h) @ grid_gram(counts, h).matrix.T
+        product = grid_gram_inverse(counts, h) @ grid_gram(counts, h).T
         worst = max(worst, float(np.max(np.abs(product - np.eye(n)))))
     ok = worst <= 1e-9
     report("inverse closed form", ok, f"worst dev from identity={worst:.2e}")
@@ -110,7 +110,7 @@ def test_limit_matrix_convergence():
     details = []
     for (d,) in cases:
         n = len(d)
-        target = dense_limit_matrix(d).matrix
+        target = dense_limit_matrix(d)
         errors = []
         for k in range(3, 11):
             counts = (2**k,) * n
@@ -129,7 +129,7 @@ def test_normalized_limit_matrix_norm():
     worst_norm = 0.0
     worst_eig = 0.0
     for n in range(2, 11):
-        f = dense_limit_matrix((1.0,) * n).normalized
+        f = dense_limit_matrix((1.0,) * n)
         worst_norm = max(worst_norm, abs(spectral_norm(f) - 12.0))
         eigs = np.sort(np.linalg.eigvalsh(f.T @ f))
         expected = np.concatenate([[144.0 / (3 * n + 1) ** 2], np.full(n - 1, 144.0)])
@@ -266,7 +266,7 @@ def _domination_suite():
 
 def test_bound_domination():
     violations = []
-    runs = 0
+    runs = centered_runs = 0
     for entry, x0, sample, kind in _domination_suite():
         runs += 1
         est = simplex_gradient(entry.field, x0, sample)
@@ -275,8 +275,9 @@ def test_bound_domination():
         classical = classical_bound(sample, lip_grad)
         if est.error > classical.value + DOMINATION_SLACK:
             violations.append(f"classical {entry.id}/{kind} N={sample.n_columns}")
-        if kind == "ball" and sample.dim == 2 and sample.region.counts[1] % 2 == 0:
-            half = antipodal_half(sample)
+        half = antipodal_half(sample)  # the one test of whether a sample mirrors
+        if half is not None:
+            centered_runs += 1
             lip_hess = entry.hess_lipschitz_on(x0, radius)
             cb = centered_bound(half, lip_hess)
             if est.error > cb.value + DOMINATION_SLACK:
@@ -295,6 +296,8 @@ def test_bound_domination():
         bound_ball = limit_bound_ball(2, 1.0, entry.hess_lipschitz_on(x0, 1.0))
         if err_ball > bound_ball.value + DOMINATION_SLACK:
             violations.append(f"limit-ball {fid}")
+    # three fields times the 4^2, 8^2 and 16^2 ball grids; the only even-azimuth 2-d balls in the suite
+    assert centered_runs == 9, f"centered bound checked on {centered_runs} samples, expected 9"
     report(
         "bound domination",
         not violations,

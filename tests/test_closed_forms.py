@@ -23,16 +23,16 @@ RNG = np.random.default_rng(77)
 class TestGridGram:
     def test_worked_example(self):
         g = grid_gram((3, 2), (4.0, 3.0))
-        assert np.allclose(g.matrix, [[448.0, 216.0], [216.0, 135.0]], atol=1e-12)
+        assert np.allclose(g, [[448.0, 216.0], [216.0, 135.0]], atol=1e-12)
 
     def test_unit_square_two_by_two(self):
         g = grid_gram((2, 2), (1.0, 1.0))
-        assert np.allclose(g.matrix, [[10.0, 9.0], [9.0, 10.0]], atol=1e-12)
+        assert np.allclose(g, [[10.0, 9.0], [9.0, 10.0]], atol=1e-12)
 
     def test_scales_with_cell_side_products(self):
-        base = grid_gram((3, 4, 2), (1.0, 1.0, 1.0)).matrix
+        base = grid_gram((3, 4, 2), (1.0, 1.0, 1.0))
         h = np.array([0.7, 2.5, 1.3])
-        scaled = grid_gram((3, 4, 2), h).matrix
+        scaled = grid_gram((3, 4, 2), h)
         assert np.allclose(scaled, base * np.outer(h, h), rtol=1e-13)
 
     def test_matches_brute_force_gram(self):
@@ -41,7 +41,7 @@ class TestGridGram:
                 d = RNG.uniform(0.3, 2.5, size=n)
                 sample = rect_grid_sample(HyperrectRegion((0.0,) * n, tuple(d), counts))
                 brute = sample.directions @ sample.directions.T
-                closed = grid_gram(counts, d / np.array(counts)).matrix
+                closed = grid_gram(counts, d / np.array(counts))
                 assert np.linalg.norm(brute - closed) / np.linalg.norm(closed) < 1e-9
 
     def test_validation(self):
@@ -53,7 +53,7 @@ class TestGridGram:
 
 class TestGridGramInverse:
     def test_inverse_of_worked_example(self):
-        u = grid_gram((3, 2), (4.0, 3.0)).matrix
+        u = grid_gram((3, 2), (4.0, 3.0))
         inv = grid_gram_inverse((3, 2), (4.0, 3.0))
         assert np.max(np.abs(inv @ u.T - np.eye(2))) < 1e-12
 
@@ -66,7 +66,7 @@ class TestGridGramInverse:
             n = int(RNG.integers(2, 6))
             counts = tuple(int(c) for c in RNG.integers(2, 9, size=n))
             h = RNG.uniform(0.2, 2.0, size=n)
-            u = grid_gram(counts, h).matrix
+            u = grid_gram(counts, h)
             dense = np.linalg.inv(u.T)
             closed = grid_gram_inverse(counts, h)
             assert np.linalg.norm(closed - dense) / np.linalg.norm(dense) < 1e-10
@@ -75,26 +75,26 @@ class TestGridGramInverse:
 class TestDenseLimitMatrix:
     def test_unit_square(self):
         lim = dense_limit_matrix((1.0, 1.0))
-        assert np.allclose(lim.matrix, np.array([[48.0, -36.0], [-36.0, 48.0]]) / 7.0, atol=1e-14)
+        assert np.allclose(lim, np.array([[48.0, -36.0], [-36.0, 48.0]]) / 7.0, atol=1e-14)
 
     def test_rectangle_two_one(self):
         lim = dense_limit_matrix((2.0, 1.0))
-        assert np.allclose(lim.matrix, np.array([[12.0, -18.0], [-18.0, 48.0]]) / 7.0, atol=1e-14)
+        assert np.allclose(lim, np.array([[12.0, -18.0], [-18.0, 48.0]]) / 7.0, atol=1e-14)
 
     def test_factorization_through_side_lengths(self):
         d = np.array([0.5, 1.7, 2.2])
         lim = dense_limit_matrix(d)
         dinv = np.diag(1.0 / d)
-        assert np.allclose(lim.matrix, dinv @ lim.normalized @ dinv, atol=1e-14)
+        assert np.allclose(lim, dinv @ dense_limit_matrix(np.ones(3)) @ dinv, atol=1e-14)
 
     def test_sides_whose_entries_overflow_are_rejected_without_a_warning(self):
         with pytest.raises(ValueError, match=r"box sides \(1e-170, 1.0\) are too small"):
             dense_limit_matrix((1e-170, 1.0))
-        assert np.isfinite(dense_limit_matrix((1e-150, 1.0)).matrix).all()
+        assert np.isfinite(dense_limit_matrix((1e-150, 1.0))).all()
 
     def test_scaled_gram_inverse_converges(self):
         for n, d in ((2, (1.0, 1.0)), (2, (2.0, 1.0)), (3, (2.0, 1.0, 3.0))):
-            target = dense_limit_matrix(d).matrix
+            target = dense_limit_matrix(d)
             errors = []
             for k in range(3, 11):
                 counts = (2**k,) * n
@@ -109,12 +109,18 @@ class TestDenseLimitMatrix:
 class TestNormalizedLimitNorm:
     def test_analytic_value_matches_spectral_norm(self):
         for n in range(2, 11):
-            lim = dense_limit_matrix((1.0,) * n)
-            assert spectral_norm(lim.normalized) == pytest.approx(12.0, abs=1e-10)
+            assert spectral_norm(dense_limit_matrix((1.0,) * n)) == pytest.approx(12.0, abs=1e-10)
+
+    def test_unit_side_matrix_has_the_documented_entries_exactly(self):
+        for n in range(2, 11):
+            f = dense_limit_matrix((1.0,) * n)
+            off = ~np.eye(n, dtype=bool)
+            assert (np.diag(f) == 12.0 * (3 * n - 2) / (3 * n + 1)).all()
+            assert (f[off] == -36.0 / (3 * n + 1)).all()
 
     def test_gram_eigenvalue_spectrum(self):
         for n in range(2, 9):
-            f = dense_limit_matrix((1.0,) * n).normalized
+            f = dense_limit_matrix((1.0,) * n)
             eigs = np.sort(np.linalg.eigvalsh(f.T @ f))
             assert eigs[0] == pytest.approx(144.0 / (3 * n + 1) ** 2, abs=1e-8)
             assert np.allclose(eigs[1:], 144.0, atol=1e-8)

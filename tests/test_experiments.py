@@ -289,6 +289,19 @@ class TestConvergence:
         config = ExperimentConfig(field_id="quad2", region="rect", schedule=((4, 4),), nodes=8, seed=np.int64(3))
         assert config.seed == 3 and type(config.seed) is int
 
+    def test_the_checked_schedule_is_the_one_kept(self):
+        config = ExperimentConfig(field_id="quad2", region="rect", schedule=((c, c) for c in (4, 8)), nodes=8)
+        assert [row.counts for row in convergence(config).rows] == [(4, 4), (8, 8)]
+        with pytest.raises(ValueError, match="schedule must be nonempty"):
+            ExperimentConfig(field_id="quad2", region="rect", schedule=iter(()))
+        sched = [[4, 4]]
+        config = ExperimentConfig(field_id="quad2", region="rect", schedule=sched, nodes=np.int64(8))
+        sched[0][0] = 5
+        assert config.schedule == ((4, 4),)
+        assert [row.counts for row in convergence(config).rows] == [(4, 4)]
+        hash(config)
+        assert type(config.nodes) is int
+
     def test_a_nan_bound_is_not_dominated(self):
         config = ExperimentConfig(field_id="cubic2", region="ball", schedule=((4, 4),), nodes=8)
         row = convergence(config).rows[0]

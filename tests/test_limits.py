@@ -91,7 +91,7 @@ class TestLimitGradientBox:
     def test_reconstructible_from_stored_parts(self):
         res = limit_gradient_box(CUBIC2, (1.0, 1.0), (2.0, 1.0), SPEC64)
         d = np.array(res.region_params)
-        rebuilt = dense_limit_matrix(d).matrix @ res.moments / float(np.prod(d))
+        rebuilt = dense_limit_matrix(d) @ res.moments / float(np.prod(d))
         assert np.allclose(rebuilt, res.estimate, atol=1e-12)
 
     def test_finite_grid_estimates_approach_it(self):
@@ -152,8 +152,7 @@ class TestTaylorDiagnostics:
         x0 = np.array(entry.anchor)
         d = np.array([1.0, 1.0])
         parts = taylor_diagnostics(entry.field, x0, d=d, spec=SPEC64)
-        lim = dense_limit_matrix(d)
-        recovered = lim.matrix @ parts["v"] / float(np.prod(d))
+        recovered = dense_limit_matrix(d) @ parts["v"] / float(np.prod(d))
         assert np.linalg.norm(recovered - entry.field.gradient(x0)) < 1e-8
 
     def test_box_parts_sum_to_moments(self):

@@ -44,7 +44,7 @@ class TestRectGrid:
     def test_gram_matches_closed_form_in_three_dimensions(self):
         region = HyperrectRegion((0.0,) * 3, (1.0, 2.0, 3.0), (2, 2, 2))
         sample = rect_grid_sample(region)
-        closed = grid_gram(region.counts, region.sublengths).matrix
+        closed = grid_gram(region.counts, region.sublengths)
         assert np.max(np.abs(sample.directions @ sample.directions.T - closed)) < 1e-12
 
     def test_full_row_rank(self):
