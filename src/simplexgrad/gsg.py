@@ -163,9 +163,10 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
     for start, block, *payload in blocks:
         if len(block) != field.dim:
             raise ValueError(f"points must have {field.dim} components")
-        # x0 added one coordinate at a time: on the limit's node blocks (n x m views of C-ordered
+        # x0 added one coordinate at a time: on the box's node blocks (n x m views of C-ordered
         # m x n rows), x0[:, None] + block would run numpy's inner loop over n elements once per
-        # node. empty_like keeps the block's layout, so the field gets points in the rows' layout.
+        # node; the ball's node blocks are C-contiguous n x m, so each add reads one contiguous row.
+        # empty_like keeps the block's layout, so the field gets points in the nodes' layout.
         points = np.empty_like(block, dtype=float)
         for k in range(field.dim):
             np.add(block[k], x0[k], out=points[k])

@@ -106,10 +106,16 @@ def limit_gradient_ball(field: ScalarField, x0, r: float, spec: QuadratureSpec =
 
     Equals ``(2 pi / V_{n+2}(r)) * T`` with T the ball moment vector; exact
     for every polynomial of degree <= 2 (zero curvature contribution by
-    symmetry of the ball).
+    symmetry of the ball). A radius so small that ``2 pi / V_{n+2}(r)`` is
+    not finite (below about 9e-78 in 2-d and 2e-62 in 3-d) raises
+    ``ValueError`` before the quadrature runs.
     """
+    volume = ball_volume(field.dim + 2, r)
+    factor = 2.0 * math.pi / volume if volume else math.inf
+    if not math.isfinite(factor):
+        raise ValueError(f"radius {float(r)!r} is too small for the ball limit (2 pi / V_{field.dim + 2}(r) is not finite)")
     moments = ball_moment_vector(field, x0, r, spec)
-    return _result("ball", (r,), x0, spec, moments, 2.0 * math.pi / ball_volume(field.dim + 2, r) * moments)
+    return _result("ball", (r,), x0, spec, moments, factor * moments)
 
 
 def taylor_diagnostics(

@@ -104,23 +104,28 @@ def box_nodes(d, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np
     return points.reshape(-1, n), _weight_product([w for _, w in axes]).reshape(-1)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=4)
 def _ball_axes(n: int, r: float, m: int):
-    """The ball rule's per-axis factors, computed once per ``(n, r, m)`` (read-only).
+    """The ball rule's radial and angular factors, computed once per ``(n, r, m)`` (read-only).
 
-    Returns ``(rho, theta, phis, ws, jac)``, each laid along its grid axis:
-    the radius abscissae, the (cos, sin) pairs of the azimuth and of each
-    polar angle, the per-axis weights, and the volume element's per-axis
-    factors ``rho^(n-1), sin^(n-2)(phi_1), ..., sin(phi_(n-2))``.
+    Returns ``(rho, radial, units, angular)``: the radius abscissae and
+    their weights times ``rho^(n-1)`` (m,), the unit directions of the
+    angular nodes (n x m^(n-1), C-contiguous, the azimuth slowest, then
+    the polar angles), and their weights ``w_theta * prod_k w_phi_k
+    sin^(n-2-k)(phi_k)`` (m^(n-1),). Each entry holds one radial slice of
+    nodes (``units`` is n m^(n-1) floats: 393 KB for the 128^3 rule), so
+    only a handful of entries are kept.
     """
     axes = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
     axes += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
-    rho, theta, *phis = [_along(q, k, n) for k, (q, _) in enumerate(axes)]
-    theta, phis = _trig(theta), [_trig(phi) for phi in phis]
-    ws = [w for _, w in axes]
-    jac = [rho ** (n - 1)] + [sin_phi ** (n - 2 - i) for i, (_, sin_phi) in enumerate(phis)]
-    _read_only(rho, *theta, *(a for pair in phis for a in pair), *ws, *jac)
-    return rho, theta, phis, ws, jac
+    (rho, w_rho), (theta, w_theta), *polar = axes
+    units = np.empty((n,) + (m,) * (n - 1))
+    phis = [_trig(_along(phi, k, n - 1)) for k, (phi, _) in enumerate(polar, 1)]
+    _spherical_map(1.0, _trig(_along(theta, 0, n - 1)), phis, units)
+    angular = _weight_product([w_theta] + [w * np.sin(phi) ** (n - 2 - k) for k, (phi, w) in enumerate(polar)])
+    radial, units, angular = w_rho * rho ** (n - 1), units.reshape(n, -1), angular.reshape(-1)
+    _read_only(rho, radial, units, angular)
+    return rho, radial, units, angular
 
 
 def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np.ndarray, np.ndarray]:
@@ -132,25 +137,22 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=N
     Cartesian integral of ``g``. ``part=(lo, hi)`` returns only the nodes
     whose radius index is in ``lo..hi-1`` (b = (hi - lo) m^(n-1)), bitwise
     equal to those rows of the full call; the full call is the part
-    ``(0, m)``. Each part computes only its own nodes, from per-axis
-    factors cached once per ``(n, r, m)``. Raises ``ValueError`` for a bad
-    part and ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
-    ``DEFAULT_COLUMN_BUDGET``.
+    ``(0, m)``. Each radial slice is its radius times the unit directions
+    of the angular sub-rule, and its weights the radial weight times the
+    angular weights, both cached once per ``(n, r, m)`` (``_ball_axes``).
+    The points are coordinate-major: ``points.T`` is a C-contiguous
+    n x b array (the box's nodes are C-ordered rows). Raises ``ValueError``
+    for a bad part and ``BudgetExceededError`` when ``nodes_per_axis ** n``
+    exceeds ``DEFAULT_COLUMN_BUDGET``.
     """
     n = _integer(n, "dimension", 2)
     r = _lengths((r,), "radius")[0]
     m = spec.nodes_per_axis
     _check_budget(m**n, "quadrature nodes")
     lo, hi = _part(part, m)
-    rho, theta, phis, ws, (radial, *polar) = _ball_axes(n, r, m)
-    points = np.empty((hi - lo,) + (m,) * (n - 1) + (n,))
-    _spherical_map(rho[lo:hi], theta, phis, np.moveaxis(points, -1, 0))
-    jac = radial[lo:hi]
-    for factor in polar:
-        jac = jac * factor
-    weights = _weight_product([ws[0][lo:hi]] + ws[1:])
-    weights *= jac
-    return points.reshape(-1, n), weights.reshape(-1)
+    rho, radial, units, angular = _ball_axes(n, r, m)
+    points = (units[:, None, :] * rho[lo:hi, None]).reshape(n, -1).T
+    return points, (radial[lo:hi, None] * angular).reshape(-1)
 
 
 def _parts(n: int, m: int, build):

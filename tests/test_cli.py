@@ -336,6 +336,19 @@ class TestCli:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(err.splitlines()) == 1 and "too small for the dense-limit matrix" in err
 
+    # V_{n+2}: V_4 for the 2-d field, V_5 for the 3-d one
+    @pytest.mark.parametrize("field, radius, volume", [("cubic2", "1e-79", "V_4"), ("cubic2", "1e-81", "V_4"),
+                                                       ("affine3", "1e-62", "V_5"), ("affine3", "1e-70", "V_5")])
+    def test_ball_too_small_for_the_limit_prints_one_line_and_no_warning(self, capsys, field, radius, volume):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["convergence", "--field", field, "--region", "ball", "--radius", radius,
+                         "--schedule", "4", "--nodes", "8"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert err == f"error: radius {radius} is too small for the ball limit (2 pi / {volume}(r) is not finite)\n"
+
     def test_quadrature_over_node_budget_is_usage_error(self, capsys):
         # 3163^2 = 10,004,569 nodes, just over the 10M budget
         code = main(["convergence", "--field", "cubic2", "--region", "ball", "--schedule", "4", "--nodes", "3163"])

@@ -51,15 +51,22 @@ def reference_box_nodes(d, m):
 
 
 def reference_ball_nodes(n, r, m):
-    axes = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
-    axes += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
-    params, weights = reference_tensor(axes)
-    rho, theta, phis = params[:, 0], params[:, 1], params[:, 2:]
-    points = reference_spherical_points(rho, theta, phis)
-    jac = rho ** (n - 1)
+    # the angular nodes' unit directions first, then each radius times them, radius slowest
+    (rho, w_rho), *angles = [_gl_axis(0.0, r, m), _gl_axis(0.0, 2.0 * math.pi, m)]
+    angles += [_gl_axis(0.0, math.pi, m) for _ in range(n - 2)]
+    grids = np.meshgrid(*[q for q, _ in angles], indexing="ij")
+    weight_grids = np.meshgrid(*[w for _, w in angles], indexing="ij")
+    theta = grids[0].ravel()
+    phis = np.empty((theta.size, n - 2))
+    for i, g in enumerate(grids[1:]):
+        phis[:, i] = g.ravel()
+    units = reference_spherical_points(np.ones(theta.size), theta, phis)
+    angular = weight_grids[0].ravel()
     for i in range(n - 2):
-        jac = jac * np.sin(phis[:, i]) ** (n - 2 - i)
-    return points, weights * jac
+        angular = angular * (weight_grids[i + 1].ravel() * np.sin(phis[:, i]) ** (n - 2 - i))
+    points = (rho[:, None, None] * units[None, :, :]).reshape(-1, n)
+    weights = ((w_rho * rho ** (n - 1))[:, None] * angular[None, :]).reshape(-1)
+    return points, weights
 
 
 def reference_rect_grid(region):

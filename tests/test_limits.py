@@ -145,6 +145,22 @@ class TestLimitGradientBall:
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
+    @pytest.mark.parametrize("n, r", [(2, 1e-79), (2, 1e-81), (3, 1e-62), (3, 1e-70)])
+    def test_radius_too_small_for_the_limit_raises_before_the_walk(self, n, r):
+        # 2 pi / V_{n+2}(r) overflows (1e-79, 1e-62) or V underflows to 0 (1e-81, 1e-70)
+        calls = []
+        field = ScalarField(dim=n, fn=lambda x: calls.append(1) or x.sum(axis=1))
+        with pytest.raises(ValueError, match=rf"radius {r!r} is too small for the ball limit"):
+            limit_gradient_ball(field, np.zeros(n), r, QuadratureSpec(8))
+        assert not calls
+
+    def test_tiny_radius_with_a_finite_factor_gives_the_unit_radius_limit(self):
+        # a linear field's limit does not depend on the radius
+        field, spec = linear_field((1.0, -2.0)), QuadratureSpec(8)
+        tiny, unit = (limit_gradient_ball(field, (0.0, 0.0), r, spec).estimate for r in (1e-70, 1.0))
+        assert np.allclose(tiny, unit, rtol=1e-12, atol=0.0)
+
+
 class TestTaylorDiagnostics:
     @pytest.mark.parametrize("fid", ["quad2", "cubic2", "affine2"])
     def test_box_linear_part_recovers_gradient(self, fid):

@@ -200,9 +200,12 @@ def test_legendre_rule_is_cached_and_read_only():
 
 
 def test_ball_axis_factors_are_cached_and_read_only():
-    rho, theta, phis, ws, jac = factors = _ball_axes(3, 1.0, 8)
+    rho, radial, units, angular = factors = _ball_axes(3, 1.0, 8)
     assert _ball_axes(3, 1.0, 8) is factors
-    for a in [rho, *theta, *phis[0], *ws, *jac]:
+    assert rho.shape == radial.shape == (8,) and angular.shape == (64,)
+    assert units.shape == (3, 64) and units.flags.c_contiguous
+    assert np.allclose(np.linalg.norm(units, axis=0), 1.0, rtol=0.0, atol=1e-15)
+    for a in factors:
         assert not a.flags.writeable
 
 
@@ -228,6 +231,16 @@ def test_parts_concatenate_to_the_full_rule_bitwise(kind, n, m, monkeypatch):
     assert np.concatenate([w for _, w in parts]).tobytes() == weights.tobytes()
     whole = build((0, m))
     assert whole[0].tobytes() == points.tobytes() and whole[1].tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(2, 8), (3, 7)])
+def test_ball_points_are_coordinate_major(n, m, monkeypatch):
+    # points.T is what the moment walk reads: one contiguous row per coordinate, whole and by part
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 3 * m ** (n - 1))
+    build = _builder("ball", n, m)
+    for part in [None, *regions._block_bounds(m, m ** (n - 1))]:
+        points, weights = build(part)
+        assert points.T.flags.c_contiguous and points.shape == (weights.size, n)
 
 
 @pytest.mark.parametrize("kind", ["box", "ball"])

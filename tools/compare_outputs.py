@@ -15,12 +15,15 @@ simplexgrad.cli`` with that checkout's ``src/`` on ``PYTHONPATH`` and a
 fresh temporary directory as the working directory. It compares the exit
 codes, stdout (with the temporary directory masked) and every written file
 byte for byte, prints one line per command, and exits 1 if anything
-differs (0 otherwise).
+differs (0 otherwise). For a stdout or file that differs, the line also
+gives the largest relative difference over its numeric fields and names the
+text fields that differ (see ``field_differences``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -83,18 +86,94 @@ def run(checkout: Path, argv: list[str]) -> tuple[int, str, dict[str, bytes]]:
         return proc.returncode, proc.stdout.replace(str(out), MASK), files
 
 
+def _cells(line: str) -> list[tuple[str | None, list[str]]]:
+    """A line's cells (comma-separated, else whitespace-separated), each as (key, values split at ';').
+
+    A ``key=value`` cell is named by its key; brackets around a value are dropped.
+    """
+    cells = []
+    for cell in line.split(",") if "," in line else line.split():
+        key, _, value = cell.rpartition("=")
+        cells.append((key or None, [t.strip("[]()") for t in value.split(";")]))
+    return cells
+
+
+def _number(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def field_differences(a: str, b: str) -> str:
+    """The largest relative difference over the numeric fields of two texts, and the text fields that differ.
+
+    Lines are paired in order. A field is named by its line and by its CSV
+    column when the last line without a number (the header) has as many
+    cells as its line, by the key of a ``key,value`` line or a ``key=value``
+    cell, and otherwise by its cell number. A number's relative difference
+    is ``|x - y| / max(|x|, |y|)`` (inf when either is not finite); a field
+    that differs and is not a number on both sides, or a line whose cells
+    do not pair up, is a text difference.
+    """
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return f"{len(lines_a)} lines != {len(lines_b)}"
+    largest, largest_at, texts, header = 0.0, None, [], None
+    for i, (line_a, line_b) in enumerate(zip(lines_a, lines_b), 1):
+        cells_a, cells_b = _cells(line_a), _cells(line_b)
+        numbers = [_number(t) for _, values in cells_a for t in values]
+        if all(x is None for x in numbers):
+            header = [";".join(values) for _, values in cells_a]
+        if len(cells_a) != len(cells_b):
+            texts.append(f"line {i}")
+            continue
+        for j, ((key, values_a), (_, values_b)) in enumerate(zip(cells_a, cells_b)):
+            if key is not None:
+                name = key
+            elif header is not None and len(header) == len(cells_a) and numbers[0] is not None:
+                name = header[j]
+            elif len(cells_a) == 2 and j == 1:
+                name = ";".join(cells_a[0][1])
+            else:
+                name = f"cell {j + 1}"
+            name = f"{name} (line {i})"
+            if len(values_a) != len(values_b):
+                texts.append(name)
+                continue
+            for x, y in zip(values_a, values_b):
+                if x == y:
+                    continue
+                fx, fy = _number(x), _number(y)
+                if fx is None or fy is None:
+                    texts.append(name)
+                    continue
+                if fx == fy:
+                    rel = 0.0  # the same number written differently, e.g. 0.0 and -0.0
+                elif math.isfinite(fx) and math.isfinite(fy):
+                    rel = abs(fx - fy) / max(abs(fx), abs(fy))
+                else:
+                    rel = math.inf
+                if largest_at is None or rel > largest:
+                    largest, largest_at = rel, name
+    found = f"largest relative difference {largest:.3g} in {largest_at}" if largest_at else "no number differs"
+    names = list(dict.fromkeys(texts))
+    return f"{found}; " + (f"text differs in {', '.join(names)}" if names else "no text field differs")
+
+
 def differences(parent, change) -> list[str]:
     (code_a, stdout_a, files_a), (code_b, stdout_b, files_b) = parent, change
     diffs = []
     if code_a != code_b:
         diffs.append(f"exit {code_a} != {code_b}")
     if stdout_a != stdout_b:
-        diffs.append("stdout differs")
+        diffs.append(f"stdout differs ({field_differences(stdout_a, stdout_b)})")
     for name in sorted(files_a.keys() | files_b.keys()):
         if name not in files_a or name not in files_b:
             diffs.append(f"{name} written by one side only")
         elif files_a[name] != files_b[name]:
-            diffs.append(f"{name} differs")
+            text_a, text_b = (f[name].decode("utf-8", "replace") for f in (files_a, files_b))
+            diffs.append(f"{name} differs ({field_differences(text_a, text_b)})")
     return diffs
 
 
