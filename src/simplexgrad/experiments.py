@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import centered_bound, classical_bound, limit_bound_ball, limit_bound_box
 from .fields import get_field
 from .gsg import simplex_gradient
-from .limits import limit_gradient_ball, limit_gradient_box
+from .limits import _ball_limit_factor, limit_gradient_ball, limit_gradient_box
 from .quadrature import QuadratureSpec
 from .regions import (
     BallRegion,
@@ -31,6 +31,7 @@ from .regions import (
     _integer,
     _integers,
     _lengths,
+    _resolved,
     antipodal_half,
     ball_grid_sample,
     rect_arbitrary_sample,
@@ -187,7 +188,10 @@ class ExperimentConfig:
     run's ``radius``) raises ``ValueError``. Every schedule row's length
     and integer counts, its column count, ``nodes`` (an integer >= 2) and
     the limit quadrature's ``nodes ** dim``, finite, positive sides and
-    radius, and a nonnegative integer ``seed`` are checked on construction
+    radius that x0 resolves (no axis with ``x0_i + extent == x0_i``, where
+    every sample point would round to x0; a radius that is also too small
+    for the ball limit's factor is reported as the limit reports it), and a
+    nonnegative integer ``seed`` are checked on construction
     too (``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET``, else
     ``ValueError``), before the limit quadrature or any row runs. The
     schedule, any iterable of rows, is kept as the tuple of int tuples its
@@ -228,6 +232,15 @@ class ExperimentConfig:
         object.__setattr__(self, "x0", _finite(entry.anchor if self.x0 is None else self.x0, "x0"))
         if len(self.x0) != dim:
             raise ValueError(f"x0 must have {dim} entries for field {self.field_id}, got {len(self.x0)}")
+        if self.region == "rect":
+            _resolved(self.x0, self.sides, "side length")
+        else:
+            try:
+                _resolved(self.x0, (self.radius,) * dim, "radius")
+            except ValueError:
+                # a radius too small for the limit's factor too is named as the limit names it
+                _ball_limit_factor(dim, self.radius)
+                raise
         # checked here, before the limit quadrature and any earlier row run
         least = (HyperrectRegion if self.region == "rect" else BallRegion).least
         schedule = []

@@ -101,6 +101,15 @@ def limit_gradient_box(field: ScalarField, x0, d, spec: QuadratureSpec = Quadrat
     return _result("box", d, x0, spec, moments, dense_limit_matrix(d) @ moments / float(np.prod(d)))
 
 
+def _ball_limit_factor(n: int, r: float) -> float:
+    """``2 pi / V_{n+2}(r)``; ``ValueError`` naming the radius when it is not finite."""
+    volume = ball_volume(n + 2, r)
+    factor = 2.0 * math.pi / volume if volume else math.inf
+    if not math.isfinite(factor):
+        raise ValueError(f"radius {float(r)!r} is too small for the ball limit (2 pi / V_{n + 2}(r) is not finite)")
+    return factor
+
+
 def limit_gradient_ball(field: ScalarField, x0, r: float, spec: QuadratureSpec = QuadratureSpec()) -> LimitGradientResult:
     """Dense-sampling limit of the simplex gradient over the ball ``B(x0; r)``.
 
@@ -110,10 +119,7 @@ def limit_gradient_ball(field: ScalarField, x0, r: float, spec: QuadratureSpec =
     not finite (below about 9e-78 in 2-d and 2e-62 in 3-d) raises
     ``ValueError`` before the quadrature runs.
     """
-    volume = ball_volume(field.dim + 2, r)
-    factor = 2.0 * math.pi / volume if volume else math.inf
-    if not math.isfinite(factor):
-        raise ValueError(f"radius {float(r)!r} is too small for the ball limit (2 pi / V_{field.dim + 2}(r) is not finite)")
+    factor = _ball_limit_factor(field.dim, r)
     moments = ball_moment_vector(field, x0, r, spec)
     return _result("ball", (r,), x0, spec, moments, factor * moments)
 

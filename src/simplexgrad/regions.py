@@ -43,6 +43,13 @@ DEFAULT_COLUMN_BUDGET = 10_000_000
 # quadrature's walk, unless one slice alone is wider (see _block_bounds); read at call time
 BLOCK_COLUMNS = 16_384
 
+# The stencil table: the radius and S S^T that a grid sample's walk summed to its end, by
+# (tag, counts, extent, BLOCK_COLUMNS). A grid's directions depend on its shape and counts, never
+# on x0, so every later sample of that geometry in this process reads them instead of summing; the
+# blocks fix the Gram's summation order, hence BLOCK_COLUMNS in the key. Oldest entry out first.
+_STENCIL_ENTRIES = 64
+_STENCILS: dict[tuple, tuple[float, np.ndarray]] = {}
+
 
 class BudgetExceededError(ValueError):
     """Requested grid would exceed ``DEFAULT_COLUMN_BUDGET``."""
@@ -68,7 +75,8 @@ class HyperrectRegion(_GridRegion):
 
     ``x0`` sits at the minimal corner. ``counts[i]`` is the number of equal
     subdivisions of side i, so the grid has ``prod(counts)`` cells of side
-    lengths ``d[i] / counts[i]``.
+    lengths ``d[i] / counts[i]``. A side with ``x0[i] + d[i] == x0[i]``,
+    along which every point would round to x0, raises ``ValueError``.
     """
 
     x0: tuple[float, ...]
@@ -83,6 +91,7 @@ class HyperrectRegion(_GridRegion):
         n = _integer(len(self.x0), "dimension", 2)
         if len(self.d) != n or len(self.counts) != n:
             raise ValueError("x0, d and counts must have matching lengths")
+        _resolved(self.x0, self.d, "side length")
 
     @property
     def sublengths(self) -> tuple[float, ...]:
@@ -96,6 +105,8 @@ class BallRegion(_GridRegion):
     ``counts[0]`` subdivides the radius, ``counts[1]`` the full turn of the
     azimuthal angle, and ``counts[2:]`` the half-turn ranges of the polar
     angles. All counts must be >= 3 so the sample matrix has full row rank.
+    A radius with ``x0[i] + r == x0[i]`` on some axis i, along which every
+    point would round to x0, raises ``ValueError``.
     """
 
     x0: tuple[float, ...]
@@ -109,6 +120,7 @@ class BallRegion(_GridRegion):
         object.__setattr__(self, "counts", _integers(self.counts, least=self.least))
         if len(self.counts) != _integer(len(self.x0), "dimension", 2):
             raise ValueError("counts must have one entry per dimension")
+        _resolved(self.x0, (self.r,) * self.dim, "radius")
 
 
 class SampleMatrix:
@@ -132,18 +144,27 @@ class SampleMatrix:
     least one; ``_block_bounds`` holds that rule, and the limit quadrature
     cuts its nodes into parts by it too.
     One walk, ``_blocks``, sums the radius and ``S S^T`` the first time it
-    runs to its end, whoever runs it (the estimator, ``function_increments``,
-    ``to_csv``, or a bound or ``radius`` through ``_walked``), and keeps
-    both in ``_sums``, unless ``_sums`` was given: then the walk never sums,
-    and ``_sums`` is either the pair itself or a function that returns it
-    (the antipodal half's, which reads S's), called on first need and
-    replaced by its result. The radius, the Gram spectrum and ``singular_range``,
+    runs to its end over a geometry, whoever runs it (the estimator,
+    ``function_increments``, ``to_csv``, or a bound or ``radius`` through
+    ``_walked``), and keeps both in ``_sums``, unless ``_sums`` was given:
+    then the walk never sums, and ``_sums`` is either the pair itself or a
+    function that returns it (the antipodal half's, which reads S's), called
+    on first need and replaced by its result. A grid sample of
+    ``rect_grid_sample`` or ``ball_grid_sample`` has a geometry (its tag,
+    counts and extent, d or r, never x0) and reads its pair, on first need,
+    from the stencil table, where a walk of that geometry that ran to its end
+    entered it, read-only, under that geometry and ``BLOCK_COLUMNS`` (which
+    fixes the Gram's summation order): so a second sample of one geometry
+    sums nothing, and its bounds walk nothing. A walk stopped early enters
+    nothing; array, arbitrary and half samples have no geometry and never
+    read or write the table. The radius, the Gram spectrum and ``singular_range``,
     the one reader of S's singular values for the estimator's route and
     cond and for the bounds, are read from there (an ill-conditioned S adds
-    one SVD), so a fresh sample is read once. Each block's sums are the
-    same operations in the same order whoever walks, so the radius, the
+    one SVD), so a fresh sample is read at most once. Each block's sums are
+    the same operations in the same order whoever walks, so the radius, the
     Gram and the estimate are bitwise the same whichever reader walks
-    first, and whether or not the arrays were ever built. A sample built
+    first, whether or not the arrays were ever built, and whether the pair
+    came from the table. A sample built
     from arrays must have finite directions.
     """
 
@@ -188,11 +209,23 @@ class SampleMatrix:
         self._shape = shape
         self._block = block
         self._sums = sums
+        self._geometry = None  # (counts, extent), set by the grid builders: the sample's stencil-table key
+
+    def _stencil(self):
+        """This sample's stencil-table key, read now, or None; a missing ``_sums`` is taken from the table."""
+        if self._geometry is None:
+            return None
+        key = (self.tag, *self._geometry, BLOCK_COLUMNS)
+        if self._sums is None:
+            self._sums = _STENCILS.get(key)
+        return key
 
     def _blocks(self):
         """Yield ``(start, block)``: each column block's n x b directions and its first column.
-        A walk begun while ``_sums`` is None sums the radius and ``S S^T`` and keeps them there."""
+        A walk begun while ``_sums`` is None, and not found in the stencil table, sums the radius
+        and ``S S^T``, keeps them there and, at its end, enters them in the table."""
         width = math.prod(self._shape[1:])
+        key = self._stencil()
         summing = self._sums is None
         max_sq = 0.0
         gram = np.zeros((self.dim, self.dim))
@@ -204,7 +237,12 @@ class SampleMatrix:
             yield lo * width, block
         if summing:
             # sqrt(max sum of squares) rounds exactly like max(norm(axis=0)), without an n x N temporary
+            gram.flags.writeable = False
             self._sums = float(np.sqrt(max_sq)), gram
+            if key is not None:
+                _STENCILS[key] = self._sums
+                if len(_STENCILS) > _STENCIL_ENTRIES:
+                    _STENCILS.pop(next(iter(_STENCILS)), None)
 
     @cached_property
     def directions(self) -> np.ndarray:
@@ -220,10 +258,12 @@ class SampleMatrix:
         return idx
 
     def _walked(self) -> tuple[float, np.ndarray]:
-        """The radius and ``S S^T``: ``_sums``, called first if it is a function, or summed by a walk run to its end."""
+        """The radius and ``S S^T``: ``_sums``, called first if it is a function, else the stencil
+        table's, else summed by a walk run to its end."""
         if callable(self._sums):
             self._sums = self._sums()
-        elif self._sums is None:
+        self._stencil()
+        if self._sums is None:
             for _ in self._blocks():
                 pass
         return self._sums
@@ -343,6 +383,14 @@ def _lengths(values, what: str = "side lengths") -> tuple[float, ...]:
     return values
 
 
+def _resolved(x0: tuple[float, ...], extents: tuple[float, ...], what: str) -> None:
+    """``ValueError`` for the first axis i with ``x0[i] + extents[i] == x0[i]``: there the region,
+    and every sample point, would round to x0 (the extent is d_i for a box and r for a ball)."""
+    for i, (x, e) in enumerate(zip(x0, extents)):
+        if x + e == x:
+            raise ValueError(f"{what} {e!r} is below the resolution of x0[{i}] = {x!r} (x0 + {e!r} rounds to x0)")
+
+
 def _constant(value, what: str) -> float:
     """``value`` (a Lipschitz constant) as a float; ``ValueError`` unless it is finite and nonnegative."""
     if not 0 <= value < math.inf:
@@ -426,7 +474,9 @@ def rect_grid_sample(region: HyperrectRegion) -> SampleMatrix:
         for a, v in enumerate(axes):
             out[a] = v[lo:hi] if a == order[0] else v
 
-    return SampleMatrix._lazy("rect-grid", region, tuple(region.counts[a] for a in order), fill)
+    sample = SampleMatrix._lazy("rect-grid", region, tuple(region.counts[a] for a in order), fill)
+    sample._geometry = region.counts, region.d
+    return sample
 
 
 def rect_arbitrary_sample(region: HyperrectRegion, offsets=None, seed=None) -> SampleMatrix:
@@ -485,7 +535,9 @@ def ball_grid_sample(region: BallRegion) -> SampleMatrix:
     ``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET`` columns.
     """
     _check_budget(region.n_cells)
-    return _polar_grid(region, "ball-grid", region.counts[1])
+    sample = _polar_grid(region, "ball-grid", region.counts[1])
+    sample._geometry = region.counts, region.r
+    return sample
 
 
 def antipodal_half(sample: SampleMatrix) -> SampleMatrix | None:

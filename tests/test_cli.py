@@ -222,6 +222,33 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == message
 
+    # cubic2's anchor is (1, 1): every point x0 + s of these regions rounds to x0 along the named axis
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--region", "ball", "--radius", "1e-17"],
+             "error: radius 1e-17 is below the resolution of x0[0] = 1.0 (x0 + 1e-17 rounds to x0)\n"),
+            (["--region", "rect", "--sides", "1e-17,1"],
+             "error: side length 1e-17 is below the resolution of x0[0] = 1.0 (x0 + 1e-17 rounds to x0)\n"),
+            (["--region", "rect", "--sides", "1,1e-17"],
+             "error: side length 1e-17 is below the resolution of x0[1] = 1.0 (x0 + 1e-17 rounds to x0)\n"),
+            (["--region", "ball", "--x0=0.5,1e17"],
+             "error: radius 1.0 is below the resolution of x0[1] = 1e+17 (x0 + 1.0 rounds to x0)\n"),
+            (["--region", "rect", "--x0", "1e300,1e300"],
+             "error: side length 1.0 is below the resolution of x0[0] = 1e+300 (x0 + 1.0 rounds to x0)\n"),
+        ],
+        ids=["ball-radius", "rect-first-side", "rect-second-side", "ball-large-x0", "rect-huge-x0"],
+    )
+    def test_an_extent_below_the_resolution_of_x0_names_its_option(self, args, message, capsys, monkeypatch):
+        def no_limit(*args, **kwargs):
+            raise AssertionError("the limit quadrature ran")
+
+        monkeypatch.setattr(experiments, "limit_gradient_box", no_limit)
+        monkeypatch.setattr(experiments, "limit_gradient_ball", no_limit)
+        code = main(["convergence", "--field", "cubic2", *args, "--schedule", "4,8", "--nodes", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -298,8 +325,9 @@ class TestCli:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_evaluation_failure_is_one_line_error(self, capsys):
+        # sides of 1e300, so that x0 + d resolves and the config takes the run to the field
         code = main(["convergence", "--field", "cubic2", "--region", "rect", "--x0", "1e300,1e300",
-                     "--schedule", "4", "--nodes", "8"])
+                     "--sides", "1e300,1e300", "--schedule", "4", "--nodes", "8"])
         err = capsys.readouterr().err
         assert code == 3
         assert [line for line in err.splitlines() if line.startswith("error: ")] == [
@@ -320,7 +348,7 @@ class TestCli:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["convergence", "--field", "cubic2", "--region", "rect", "--x0", "1e300,1e300",
-                         "--schedule", "4", "--nodes", "8"])
+                         "--sides", "1e300,1e300", "--schedule", "4", "--nodes", "8"])
         err = capsys.readouterr().err
         assert code == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

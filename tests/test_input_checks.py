@@ -16,7 +16,7 @@ from simplexgrad.closed_forms import ball_gamma_ratio, ball_volume, dense_limit_
 from simplexgrad.gsg import ScalarField, function_increments, simplex_gradient
 from simplexgrad.linalg import gamma_half_integer
 from simplexgrad.quadrature import abs_monomial_ball_integral, ball_nodes, monomial_ball_integral
-from simplexgrad.regions import SampleMatrix, sample_radius
+from simplexgrad.regions import BallRegion, HyperrectRegion, SampleMatrix, sample_radius
 
 nan, inf = math.nan, math.inf
 
@@ -46,6 +46,11 @@ CASES = {
     "ScalarField-fractional-dim": (lambda: ScalarField(2.5, _ones), "dimension must be an integer"),
     "ScalarField-zero-dim": (lambda: ScalarField(0, _ones), "dimension must be at least 1"),
     "ball_nodes-fractional-dim": (lambda: ball_nodes(2.5, 1.0), "dimension must be an integer"),
+    # every point of the region would round to x0 along an axis
+    "HyperrectRegion-side-below-x0": (lambda: HyperrectRegion((0.0, 1.0), (1.0, 1e-17), (2, 2)),
+                                      r"side length 1e-17 is below the resolution of x0\[1\] = 1.0"),
+    "BallRegion-radius-below-x0": (lambda: BallRegion((-1e17, 0.0), 1.0, (3, 3)),
+                                   r"radius 1.0 is below the resolution of x0\[0\] = -1e\+17"),
 }
 
 

@@ -10,9 +10,13 @@ ball, an arbitrary rect sample of one block a row, the same sample at
 128^2..512^2, of 1, 4 and 16 blocks a row, a 2-d ball with odd and even
 counts, and a thin box whose last rows take the estimator's SVD route), the
 three convergence workloads of the benchmark (``perfbench/workloads.py``) at
-seed 0, and every ``reproduce <id> --out`` example, 16 commands in all, as ``python -m
-simplexgrad.cli`` with that checkout's ``src/`` on ``PYTHONPATH`` and a
-fresh temporary directory as the working directory. It compares the exit
+seed 0 and every ``reproduce <id> --out`` example, each as ``python -m
+simplexgrad.cli``, plus one in-process command (``python -c``) that runs
+the README's rect and ball configs at another x0 and then at the anchor,
+in one process, and writes the second CSVs: so each checkout's stencil
+table is warm for them, and its warm path is compared too. That is 17
+commands in all, each with that checkout's ``src/`` on ``PYTHONPATH`` and
+a fresh temporary directory as the working directory. It compares the exit
 codes, stdout (with the temporary directory masked) and every written file
 byte for byte, prints one line per command, and exits 1 if anything
 differs (0 otherwise). For a stdout or file that differs, the line also
@@ -38,8 +42,26 @@ REPRODUCE_IDS = (
     "rect-limit-quadratic",
 )
 
-# (label, argv after ``python -m simplexgrad.cli``); "{out}" is the run's output directory
-COMMANDS = [
+# the README's rect and ball configs, run at x0 = (0.3, 0.9) and then at the anchor in one process;
+# the second run of each finds its sample geometries in the stencil table, and its CSV is written
+WARM_README = """
+import sys
+from pathlib import Path
+from simplexgrad.experiments import ExperimentConfig, convergence
+out = Path(sys.argv[1])
+out.mkdir(parents=True)
+rect = dict(region="rect", sides=(1.0, 1.0), schedule=tuple((2**k,) * 2 for k in range(2, 11)))
+ball = dict(region="ball", radius=1.0, schedule=tuple((2**k,) * 2 for k in range(2, 8)))
+for name, kind in (("rect", rect), ("ball", ball)):
+    for x0 in ((0.3, 0.9), None):
+        text = convergence(ExperimentConfig(field_id="cubic2", x0=x0, nodes=64, seed=0, **kind)).to_csv()
+    (out / f"{name}-warm.csv").write_text(text, encoding="utf-8", newline="\\n")
+"""
+
+CLI = ["-m", "simplexgrad.cli"]
+
+# (label, argv after ``python``); "{out}" is the run's output directory
+COMMANDS = [(label, CLI + argv) for label, argv in [
     ("convergence rect", ["convergence", "--field", "cubic2", "--region", "rect", "--sides", "1,1",
                           "--schedule", "2^2..2^10", "--nodes", "64", "--seed", "0", "--out", "{out}/rect.csv"]),
     ("convergence ball", ["convergence", "--field", "cubic2", "--region", "ball", "--radius", "1.0",
@@ -68,7 +90,9 @@ COMMANDS = [
     ("convergence ball-3d-limit", ["convergence", "--field", "affine3", "--region", "ball",
                                    "--schedule", "3,5,9,17,33,65", "--nodes", "128", "--seed", "0",
                                    "--out", "{out}/ball-3d-limit.csv"]),
-] + [(f"reproduce {rid}", ["reproduce", rid, "--out", "{out}/" + rid]) for rid in REPRODUCE_IDS]
+] + [(f"reproduce {rid}", ["reproduce", rid, "--out", "{out}/" + rid]) for rid in REPRODUCE_IDS]] + [
+    ("in-process warm README configs", ["-c", WARM_README, "{out}"]),
+]
 
 MASK = "<out>"
 
@@ -79,9 +103,7 @@ def run(checkout: Path, argv: list[str]) -> tuple[int, str, dict[str, bytes]]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         args = [a.replace("{out}", str(out)) for a in argv]
-        proc = subprocess.run(
-            [sys.executable, "-m", "simplexgrad.cli", *args], cwd=tmp, env=env, capture_output=True, text=True
-        )
+        proc = subprocess.run([sys.executable, *args], cwd=tmp, env=env, capture_output=True, text=True)
         files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
         return proc.returncode, proc.stdout.replace(str(out), MASK), files
 
