@@ -66,7 +66,6 @@ def _moments(field: ScalarField, x0, m: int, build) -> np.ndarray:
     with _quiet_overflow():
         for _, block, increments, w in _increments(field, x0, parts, unit="node"):
             moments += (w * increments) @ block.T
-            del w  # freed before the next part is built: held, a 128^3 ball limit faulted in ~150 more pages a call
     if not np.isfinite(moments).all():
         raise EvaluationError(-1, x0, f"moments overflow: {moments}", unit="node")
     return moments

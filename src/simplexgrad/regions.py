@@ -44,11 +44,13 @@ DEFAULT_COLUMN_BUDGET = 10_000_000
 BLOCK_COLUMNS = 16_384
 
 # The stencil table: the radius and S S^T that a grid sample's walk summed to its end, by
-# (tag, counts, extent, BLOCK_COLUMNS). A grid's directions depend on its shape and counts, never
-# on x0, so every later sample of that geometry in this process reads them instead of summing; the
-# blocks fix the Gram's summation order, hence BLOCK_COLUMNS in the key. Oldest entry out first.
+# (tag, counts, extent, BLOCK_COLUMNS), next to S's singular-value pair once an SVD in
+# singular_range has computed it (None before). A grid's directions depend on its shape and counts,
+# never on x0, so every later sample of that geometry in this process reads them instead of summing
+# or decomposing; the blocks fix the Gram's summation order, hence BLOCK_COLUMNS in the key. Oldest
+# entry out first.
 _STENCIL_ENTRIES = 64
-_STENCILS: dict[tuple, tuple[float, np.ndarray]] = {}
+_STENCILS: dict[tuple, list] = {}  # key -> [(radius, S S^T), (sigma_min, sigma_max) or None]
 
 
 class BudgetExceededError(ValueError):
@@ -139,10 +141,12 @@ class SampleMatrix:
     slowest axis first (one flat axis of N columns for a sample built from
     arrays), and one ``_block(lo, hi)`` function that returns slowest-axis
     slices ``lo..hi-1`` as an n x b array: a view for a sample built from
-    arrays, a freshly filled buffer for a lazy sample. ``_blocks`` yields
+    arrays; for a lazy sample, a freshly filled array, or, when the walk
+    calls it, a prefix of the walk's one buffer. ``_blocks`` yields
     as many whole slices at a time as fit in ``BLOCK_COLUMNS``, and at
     least one; ``_block_bounds`` holds that rule, and the limit quadrature
-    cuts its nodes into parts by it too.
+    cuts its nodes into parts by it too. ``directions`` and the SVD of
+    ``singular_range`` get fresh arrays.
     One walk, ``_blocks``, sums the radius and ``S S^T`` the first time it
     runs to its end over a geometry, whoever runs it (the estimator,
     ``function_increments``, ``to_csv``, or a bound or ``radius`` through
@@ -160,7 +164,8 @@ class SampleMatrix:
     read or write the table. The radius, the Gram spectrum and ``singular_range``,
     the one reader of S's singular values for the estimator's route and
     cond and for the bounds, are read from there (an ill-conditioned S adds
-    one SVD), so a fresh sample is read at most once. Each block's sums are
+    one SVD, which a grid sample's table entry keeps), so a fresh sample is
+    read at most once. Each block's sums are
     the same operations in the same order whoever walks, so the radius, the
     Gram and the estimate are bitwise the same whichever reader walks
     first, whether or not the arrays were ever built, and whether the pair
@@ -193,7 +198,10 @@ class SampleMatrix:
         dim = region.dim
 
         def block(lo, hi):
-            out = np.empty((dim, hi - lo) + shape[1:])
+            # into the walk's buffer if the walk handed one over for this call, else a fresh array
+            buffer, sample._buffer = sample._buffer, None
+            size = (dim, hi - lo) + shape[1:]
+            out = np.empty(size) if buffer is None else buffer[: math.prod(size)].reshape(size)
             fill(out, lo, hi)
             return out.reshape(dim, -1)
 
@@ -209,6 +217,7 @@ class SampleMatrix:
         self._shape = shape
         self._block = block
         self._sums = sums
+        self._buffer = None  # the walk's buffer, set by ``_blocks`` for one ``_block`` call
         self._geometry = None  # (counts, extent), set by the grid builders: the sample's stencil-table key
 
     def _stencil(self):
@@ -217,19 +226,27 @@ class SampleMatrix:
             return None
         key = (self.tag, *self._geometry, BLOCK_COLUMNS)
         if self._sums is None:
-            self._sums = _STENCILS.get(key)
+            self._sums = _STENCILS.get(key, (None,))[0]
         return key
 
     def _blocks(self):
         """Yield ``(start, block)``: each column block's n x b directions and its first column.
         A walk begun while ``_sums`` is None, and not found in the stencil table, sums the radius
-        and ``S S^T``, keeps them there and, at its end, enters them in the table."""
+        and ``S S^T``, keeps them there and, at its end, enters them in the table.
+
+        A lazy sample's walk fills every block into a C-contiguous prefix of one buffer, made when
+        the walk starts, so a yielded block is valid only until the next block is requested: a
+        caller that keeps one longer copies it. An array sample's blocks are views of its array."""
         width = math.prod(self._shape[1:])
         key = self._stencil()
         summing = self._sums is None
         max_sq = 0.0
         gram = np.zeros((self.dim, self.dim))
-        for lo, hi in _block_bounds(self._shape[0], width):
+        bounds = list(_block_bounds(self._shape[0], width))
+        # a lazy sample's one buffer for the walk, as large as its first (largest) block
+        buffer = None if self.region is None else np.empty(self.dim * width * (bounds[0][1] - bounds[0][0]))
+        for lo, hi in bounds:
+            self._buffer = buffer  # for this one call: the lazy sample's _block takes it back
             block = self._block(lo, hi)
             if summing:
                 max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->j", block, block))))
@@ -240,7 +257,7 @@ class SampleMatrix:
             gram.flags.writeable = False
             self._sums = float(np.sqrt(max_sq)), gram
             if key is not None:
-                _STENCILS[key] = self._sums
+                _STENCILS[key] = [self._sums, None]
                 if len(_STENCILS) > _STENCIL_ENTRIES:
                     _STENCILS.pop(next(iter(_STENCILS)), None)
 
@@ -291,8 +308,10 @@ class SampleMatrix:
         Read from the Gram spectrum while cond(S) <= 1e3, where sqrt(lambda_min)
         is off by about cond(S)^2 eps <= 1e-10 relative (Higham, ch. 20); else
         from one SVD of a transient n x N array, so ``directions`` stays
-        uncached. sigma_min is 0 when S has fewer columns than rows (the SVD
-        gives only N values). Raises ``ValueError`` for an empty sample.
+        uncached; a grid sample keeps that pair in its stencil-table entry, so
+        a later sample of its geometry runs no SVD. sigma_min is 0 when S has
+        fewer columns than rows (the SVD gives only N values). Raises
+        ``ValueError`` for an empty sample.
         """
         if self.n_columns == 0:
             raise ValueError("sample matrix is empty")
@@ -300,8 +319,15 @@ class SampleMatrix:
         lo, hi = float(eigvals[0]), float(eigvals[-1])
         if hi > 0 and lo >= 1e-6 * hi:
             return math.sqrt(lo), math.sqrt(hi)
+        key = self._stencil()
+        entry = None if key is None else _STENCILS.get(key)
+        if entry is not None and entry[1] is not None:
+            return entry[1]
         sv = np.linalg.svd(self._block(0, self._shape[0]), compute_uv=False)
-        return (float(sv[-1]) if self.n_columns >= self.dim else 0.0), float(sv[0])
+        sigma = (float(sv[-1]) if self.n_columns >= self.dim else 0.0), float(sv[0])
+        if entry is not None:
+            entry[1] = sigma
+        return sigma
 
     def to_csv(self, out=None) -> str:
         """Serialize as CSV: n/N/tag header, then one row per column.

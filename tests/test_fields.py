@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from simplexgrad.fields import check_gradient_consistency, field_ids, get_field, make_affine
+from simplexgrad.gsg import ScalarField
 
 RNG = np.random.default_rng(99)
 
@@ -62,6 +66,26 @@ def test_lipschitz_constants_hold_on_declared_ball(fid):
         dist = np.linalg.norm(a - b)
         if dist > 1e-9:
             assert gap <= hess_lip * dist + 1e-9
+
+
+def test_cubic_values_are_within_two_ulp_of_the_exact_cubes():
+    # two roundings a cube, so each is within gamma_2 of exact (Higham, ch. 3), under 2 ulp
+    x = RNG.uniform(-3.0, 3.0, size=(2000, 2))
+    x[:5] = [[0.0, -0.0], [1.0, -1.0], [2.0, 0.5], [1e-50, -1e100], [3.0, 1.0 / 3.0]]
+    a, b = x[:, 0], x[:, 1]
+    cubes, inputs = np.concatenate([a * a * a, b * b * b]), np.concatenate([a, b])
+    for got, v in zip(cubes.tolist(), inputs.tolist()):
+        exact = Fraction(v) ** 3
+        assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(got)), v
+    assert np.array_equal(get_field("cubic2").field(x), cubes[:2000] + cubes[2000:])
+
+
+def test_cubic_gradient_check_is_that_of_the_power_formula():
+    entry = get_field("cubic2")
+    pts = RNG.uniform(-2.0, 2.0, size=(25, 2))
+    power = ScalarField(dim=2, fn=lambda x: x[:, 0] ** 3 + x[:, 1] ** 3, grad=entry.field.grad)
+    got, want = check_gradient_consistency(entry.field, pts), check_gradient_consistency(power, pts)
+    assert got < 1e-5 and abs(got - want) < 1e-8
 
 
 def test_cubic_gradient_lipschitz_is_tight_but_valid():
