@@ -145,13 +145,13 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
 
     ``block`` is an n x m block of columns whose first has index ``start``;
     its increments are ``f(x0 + block[:, j]) - f(x0)``. f(x0) is evaluated
-    once, before the first block. The points passed to the field and the
-    increments are written into two buffers kept for the whole walk (made
-    again only when a block's shape or layout changes), so, like the block,
-    the increments are valid only until the next block is requested.
-    Raises ``EvaluationError`` at the first column whose evaluation fails
-    or whose increment is not finite (column -1 is x0 itself), naming it by
-    its index as a ``unit``. ``MemoryError`` propagates unchanged.
+    once, before the first block. ``block`` is yielded as ``blocks`` gave
+    it, so a lazy sample's block is valid only until the next is requested;
+    the points passed to the field and the increments are fresh arrays for
+    each block, which a field may keep. Raises ``EvaluationError`` at the first
+    column whose evaluation fails or whose increment is not finite (column
+    -1 is x0 itself), naming it by its index as a ``unit``. ``MemoryError``
+    propagates unchanged.
     """
     if x0.shape != (field.dim,):
         raise ValueError(f"points must have {field.dim} components")
@@ -163,17 +163,14 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
         raise EvaluationError(-1, x0, _cause(exc), unit) from exc
     if not math.isfinite(base):
         raise EvaluationError(-1, x0, f"non-finite value {base}", unit)
-    points = increments = layout = None
     for start, block, *payload in blocks:
         if len(block) != field.dim:
             raise ValueError(f"points must have {field.dim} components")
         # x0 added one coordinate at a time: on the box's node blocks (n x m views of C-ordered
         # m x n rows), x0[:, None] + block would run numpy's inner loop over n elements once per
         # node; the ball's node blocks are C-contiguous n x m, so each add reads one contiguous row.
-        # empty_like keeps the block's layout, so the field gets points in the nodes' layout; the
-        # buffer is kept while the blocks' shape and strides, hence that layout, stay the same.
-        if (block.shape, block.strides) != layout:
-            points, layout = np.empty_like(block, dtype=float), (block.shape, block.strides)
+        # empty_like keeps the block's layout, so the field gets points in the nodes' layout.
+        points = np.empty_like(block, dtype=float)
         for k in range(field.dim):
             np.add(block[k], x0[k], out=points[k])
         try:
@@ -191,10 +188,8 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
                 except Exception as exc:
                     raise EvaluationError(start + j, point, _cause(exc), unit) from exc
             raise
-        if increments is None or increments.shape != values.shape:
-            increments = np.empty(values.shape)
         with _quiet_overflow():
-            np.subtract(values, base, out=increments)
+            increments = values - base
             # one reduction on the success path; the scan runs only when it is not finite
             total_finite = np.isfinite(np.sum(increments))
         if not total_finite:

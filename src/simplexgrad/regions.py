@@ -44,13 +44,11 @@ DEFAULT_COLUMN_BUDGET = 10_000_000
 BLOCK_COLUMNS = 16_384
 
 # The stencil table: the radius and S S^T that a grid sample's walk summed to its end, by
-# (tag, counts, extent, BLOCK_COLUMNS), next to S's singular-value pair once an SVD in
-# singular_range has computed it (None before). A grid's directions depend on its shape and counts,
-# never on x0, so every later sample of that geometry in this process reads them instead of summing
-# or decomposing; the blocks fix the Gram's summation order, hence BLOCK_COLUMNS in the key. Oldest
-# entry out first.
+# (tag, counts, extent, BLOCK_COLUMNS). A grid's directions depend on its shape and counts, never
+# on x0, so every later sample of that geometry in this process reads them instead of summing; the
+# blocks fix the Gram's summation order, hence BLOCK_COLUMNS in the key. Oldest entry out first.
 _STENCIL_ENTRIES = 64
-_STENCILS: dict[tuple, list] = {}  # key -> [(radius, S S^T), (sigma_min, sigma_max) or None]
+_STENCILS: dict[tuple, tuple[float, np.ndarray]] = {}
 
 
 class BudgetExceededError(ValueError):
@@ -164,8 +162,7 @@ class SampleMatrix:
     read or write the table. The radius, the Gram spectrum and ``singular_range``,
     the one reader of S's singular values for the estimator's route and
     cond and for the bounds, are read from there (an ill-conditioned S adds
-    one SVD, which a grid sample's table entry keeps), so a fresh sample is
-    read at most once. Each block's sums are
+    one SVD), so a fresh sample is read at most once. Each block's sums are
     the same operations in the same order whoever walks, so the radius, the
     Gram and the estimate are bitwise the same whichever reader walks
     first, whether or not the arrays were ever built, and whether the pair
@@ -226,7 +223,7 @@ class SampleMatrix:
             return None
         key = (self.tag, *self._geometry, BLOCK_COLUMNS)
         if self._sums is None:
-            self._sums = _STENCILS.get(key, (None,))[0]
+            self._sums = _STENCILS.get(key)
         return key
 
     def _blocks(self):
@@ -257,7 +254,7 @@ class SampleMatrix:
             gram.flags.writeable = False
             self._sums = float(np.sqrt(max_sq)), gram
             if key is not None:
-                _STENCILS[key] = [self._sums, None]
+                _STENCILS[key] = self._sums
                 if len(_STENCILS) > _STENCIL_ENTRIES:
                     _STENCILS.pop(next(iter(_STENCILS)), None)
 
@@ -308,10 +305,8 @@ class SampleMatrix:
         Read from the Gram spectrum while cond(S) <= 1e3, where sqrt(lambda_min)
         is off by about cond(S)^2 eps <= 1e-10 relative (Higham, ch. 20); else
         from one SVD of a transient n x N array, so ``directions`` stays
-        uncached; a grid sample keeps that pair in its stencil-table entry, so
-        a later sample of its geometry runs no SVD. sigma_min is 0 when S has
-        fewer columns than rows (the SVD gives only N values). Raises
-        ``ValueError`` for an empty sample.
+        uncached. sigma_min is 0 when S has fewer columns than rows (the SVD
+        gives only N values). Raises ``ValueError`` for an empty sample.
         """
         if self.n_columns == 0:
             raise ValueError("sample matrix is empty")
@@ -319,15 +314,8 @@ class SampleMatrix:
         lo, hi = float(eigvals[0]), float(eigvals[-1])
         if hi > 0 and lo >= 1e-6 * hi:
             return math.sqrt(lo), math.sqrt(hi)
-        key = self._stencil()
-        entry = None if key is None else _STENCILS.get(key)
-        if entry is not None and entry[1] is not None:
-            return entry[1]
         sv = np.linalg.svd(self._block(0, self._shape[0]), compute_uv=False)
-        sigma = (float(sv[-1]) if self.n_columns >= self.dim else 0.0), float(sv[0])
-        if entry is not None:
-            entry[1] = sigma
-        return sigma
+        return (float(sv[-1]) if self.n_columns >= self.dim else 0.0), float(sv[0])
 
     def to_csv(self, out=None) -> str:
         """Serialize as CSV: n/N/tag header, then one row per column.

@@ -204,17 +204,3 @@ def test_the_table_keeps_its_newest_entries_within_its_bound():
     kept = [key[2][0] for key in regions._STENCILS]
     assert kept == extents[6:]  # the oldest six went first
 
-
-def test_a_second_thin_box_at_another_x0_runs_no_svd(monkeypatch):
-    # sides (1, 1e-11) put cond(S) far above 1e3, so singular_range decomposes S; the pair joins the table entry
-    first = rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 1e-11), (64, 64)))
-    svd = _Counting(np.linalg.svd)
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    want = first.singular_range
-    assert svd.calls == 1
-    second = rect_grid_sample(HyperrectRegion((2.0, -1.0), (1.0, 1e-11), (64, 64)))
-    assert second.singular_range == want and svd.calls == 1
-    monkeypatch.undo()
-    assert rect_grid_sample(HyperrectRegion((2.0, -1.0), (1.0, 1e-11), (64, 64))).singular_range == want
-    regions._STENCILS.clear()  # a fresh table decomposes again, to the same pair
-    assert rect_grid_sample(HyperrectRegion((2.0, -1.0), (1.0, 1e-11), (64, 64))).singular_range == want

@@ -1,4 +1,4 @@
-"""The walk's buffers: a lazy sample's blocks, the field's points and the increments are reused block to block."""
+"""The walk's buffer: a lazy sample's blocks are reused block to block; the field's points and the increments are not."""
 
 from __future__ import annotations
 
@@ -73,24 +73,23 @@ def test_the_svd_inputs_are_fresh_arrays(block_columns, monkeypatch):
         assert pinv_inputs[0] is walked[0]  # one block: the route reads the walk's last block after the loop
 
 
-def _fields() -> dict:
-    kept = []
-
-    def keeping(x):
-        kept.append(x)
-        return np.sin(x[:, 0]) * x[:, 1]
-
-    return {"view": lambda x: x[:, 0], "keeps-its-input": keeping, "smooth": lambda x: np.sin(x[:, 0]) * x[:, 1]}
+FIELDS = {
+    "view": lambda x: x[:, 0],
+    "keeps-its-input": lambda x: np.sin(x[:, 0]) * x[:, 1],  # kept by the test below
+    "smooth": lambda x: np.sin(x[:, 0]) * x[:, 1],
+}
 
 
-@pytest.mark.parametrize("name", ["view", "keeps-its-input", "smooth"])
+@pytest.mark.parametrize("name", FIELDS)
 @pytest.mark.parametrize("build", SAMPLES.values(), ids=SAMPLES.keys())
 def test_increments_match_a_reference_on_fresh_arrays(build, name):
     sample = build()
-    fn = _fields()[name]
-    field = ScalarField(dim=sample.dim, fn=fn)
+    kept = []
+    fn = FIELDS[name]
+    field = ScalarField(dim=sample.dim, fn=lambda x: kept.append(x) or fn(x))
     x0 = np.linspace(0.25, 0.75, sample.dim)
-    walked = [np.array(df) for _, _, df in _increments(field, x0, sample._blocks())]
+    walked = [df for _, _, df in _increments(field, x0, sample._blocks())]
+    first = kept[1:]  # kept[0] is x0
     got = function_increments(field, x0, sample)
     # the reference: every point its own fresh array, the same adds and the same subtraction
     points = np.empty_like(sample.directions)
@@ -98,14 +97,23 @@ def test_increments_match_a_reference_on_fresh_arrays(build, name):
         points[k] = sample.directions[k] + x0[k]
     want = np.asarray(fn(points.T), dtype=float) - float(field(x0))
     assert np.array_equal(got, want) and np.array_equal(np.concatenate(walked), want)
+    # the points each block of the first walk passed to the field still hold them after a second walk:
+    # a field may keep its input
+    assert len(first) == len(walked)
+    assert np.array_equal(np.concatenate(first), points.T)
 
 
-def test_consecutive_increments_share_one_buffer():
+def test_consecutive_increments_and_points_are_fresh_arrays():
     sample = SAMPLES["rect"]()
-    field = ScalarField(dim=2, fn=lambda x: x[:, 0] * x[:, 1])
+    seen = []
+    field = ScalarField(dim=2, fn=lambda x: seen.append(x) or x[:, 0] * x[:, 1])
     yielded = [(block, df) for _, block, df in _increments(field, np.zeros(2), sample._blocks())]
-    for (_, first), (_, second) in zip(yielded, yielded[1:]):
-        assert np.shares_memory(first, second)
+    points = seen[1:]  # seen[0] is x0
+    assert len(points) == len(yielded) >= 3
+    for k in range(1, len(yielded)):
+        assert not np.shares_memory(yielded[k - 1][1], yielded[k][1])
+        assert not np.shares_memory(points[k - 1], points[k])
+        assert not np.shares_memory(points[k], yielded[k][0])
 
 
 @pytest.mark.parametrize("bad", ["raise", "inf"])
