@@ -50,8 +50,10 @@ class ScalarField:
 
     ``fn`` is evaluated on arrays of shape (m, n) and should return shape
     (m,); plain scalar-valued callables are also accepted and looped over.
-    When m == n the array call gets one more row (a copy of the last), so
-    that a scalar callable indexing rows cannot pass for a vectorized one.
+    The estimator and the limit pass ``fn`` a fresh array for each block,
+    which it may keep. When m == n the array call gets one more row (a
+    copy of the last), so that a scalar callable indexing rows cannot pass
+    for a vectorized one.
     A ``MemoryError`` from the array call propagates instead of starting
     that loop. When the array call raised and the loop raises too, the
     loop's exception is raised with the array call's as its ``__cause__``:

@@ -203,4 +203,3 @@ def test_the_table_keeps_its_newest_entries_within_its_bound():
     assert len(regions._STENCILS) == regions._STENCIL_ENTRIES
     kept = [key[2][0] for key in regions._STENCILS]
     assert kept == extents[6:]  # the oldest six went first
-
