@@ -47,6 +47,8 @@ BLOCK_COLUMNS = 16_384
 # (tag, counts, extent, BLOCK_COLUMNS). A grid's directions depend on its shape and counts, never
 # on x0, so every later sample of that geometry in this process reads them instead of summing; the
 # blocks fix the Gram's summation order, hence BLOCK_COLUMNS in the key. Oldest entry out first.
+# It helps only a caller who builds a geometry again: a caller who keeps its sample and reads it at a
+# new x0 gets the same skip from the sample's own sums, and a one-shot run never hits the table.
 _STENCIL_ENTRIES = 64
 _STENCILS: dict[tuple, tuple[float, np.ndarray]] = {}
 
@@ -246,7 +248,10 @@ class SampleMatrix:
             self._buffer = buffer  # for this one call: the lazy sample's _block takes it back
             block = self._block(lo, hi)
             if summing:
-                max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->j", block, block))))
+                # a grid's entries grow in magnitude along its slowest axis, and rounding is monotone, so no
+                # column is longer than the last slice's one with the same other indices: scan only the last block
+                if key is None or hi == self._shape[0]:
+                    max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->j", block, block))))
                 gram += block @ block.T
             yield lo * width, block
         if summing:

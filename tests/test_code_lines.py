@@ -48,3 +48,13 @@ def test_counts_every_module_of_a_checkout(tmp_path, capsys):
     assert code_lines.count_checkout(tmp_path) == {"__init__.py": 0, "mod.py": 10}
     assert code_lines.main([str(tmp_path), str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "10", "10"]
+
+
+def test_a_root_without_the_package_exits_two(tmp_path, capsys):
+    package = tmp_path / "src" / "simplexgrad"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(SOURCE)
+    assert code_lines.main([str(tmp_path), str(package)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {package} has no src/simplexgrad; give checkout roots, not the package\n"

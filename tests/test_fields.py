@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,42 @@ def test_make_affine_deterministic():
     x = np.array([[0.3, -0.7]])
     assert a.field(x) == b.field(x)
     assert np.array_equal(a.field.gradient([0.0, 0.0]), b.field.gradient([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 42), (3, 43)])
+def test_registry_affine_fields_are_their_seeded_draws_bitwise(dim, seed):
+    entry, drawn = get_field(f"affine{dim}"), make_affine(dim, seed)
+    zero = np.zeros(dim)
+    # g is the gradient everywhere and c the value at 0
+    assert entry.field.gradient(zero).tobytes() == drawn.field.gradient(zero).tobytes()
+    assert float(entry.field(zero)).hex() == float(drawn.field(zero)).hex()
+    assert (entry.id, entry.field.name, entry.note, entry.anchor) == (drawn.id, drawn.field.name, drawn.note, drawn.anchor)
+    x = RNG.uniform(-2.0, 2.0, size=(50, dim))
+    assert entry.field(x).tobytes() == drawn.field(x).tobytes()
+
+
+_NO_RANDOM = """
+import sys
+import simplexgrad
+from simplexgrad.experiments import ExperimentConfig, convergence
+from simplexgrad.fields import get_field
+get_field("affine3")
+convergence(ExperimentConfig(field_id="affine3", region="ball", schedule=((3, 3, 3), (5, 5, 5)), nodes=8))
+convergence(ExperimentConfig(field_id="cubic2", region="rect", schedule=((4, 4), (8, 8)), nodes=8))
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_the_package_and_grid_runs_do_not_import_numpy_random():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_RANDOM],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize("fid", ["quad2", "cubic2", "affine2", "affine3"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,34 @@ def test_any_first_walk_leaves_the_same_radius_and_gram(build, region, block_col
     radius, gram = sums.pop("estimate")
     for reader, (other_radius, other_gram) in sums.items():
         assert other_radius == radius and np.array_equal(other_gram, gram), reader
+
+
+# the thin axis slowest and fastest: every column of a slice ties with its neighbours' norms to roundoff
+_THIN = [
+    (rect_grid_sample, HyperrectRegion((0.0, 0.0), (1.0, 1e-11), (24, 32))),
+    (rect_grid_sample, HyperrectRegion((0.3, -0.2), (1e-11, 1.0), (24, 32))),
+]
+
+
+@pytest.mark.parametrize("block_columns", [10, regions.BLOCK_COLUMNS])
+@pytest.mark.parametrize("build, region", GRIDS + _THIN, ids=[f"{b.__name__}-{r.dim}d" for b, r in GRIDS + _THIN])
+def test_a_grid_walk_scans_only_its_last_block_for_the_radius(build, region, block_columns, monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", block_columns)
+    regions._STENCILS.clear()
+    sample = build(region)
+    einsum, calls = np.einsum, []
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs))
+    blocks = sum(1 for _ in sample._blocks())
+    assert calls == ["ij,ij->j"] * (1 if sample._geometry is not None else blocks)
+    # the full scan: every column of the whole array, and every block as the walk cuts them
+    directions = sample.directions
+    whole = float(np.sqrt(np.max(einsum("ij,ij->j", directions, directions))))
+    width = math.prod(sample._shape[1:])
+    by_block = max(
+        float(np.max(einsum("ij,ij->j", d, d)))
+        for d in (directions[:, lo * width : hi * width] for lo, hi in regions._block_bounds(sample._shape[0], width))
+    )
+    assert sample.radius == whole == float(np.sqrt(by_block)) == float(np.max(np.linalg.norm(directions, axis=0)))
 
 
 def test_blocks_are_whole_slices_of_the_slowest_axis(monkeypatch):
@@ -407,12 +436,17 @@ def test_limit_builds_its_nodes_once_per_part(kind, monkeypatch):
     from simplexgrad import limits
 
     monkeypatch.setattr(regions, "BLOCK_COLUMNS", 2 * 5**2)
-    name = f"{kind}_nodes"
-    build, parts, points = getattr(limits, name), [], []
+    name = f"_{kind}_rule"
+    rule_of, parts, points = getattr(limits, name), [], []
 
-    def counting_build(*args, **kwargs):
-        parts.append(kwargs.get("part", args[-1]))
-        return build(*args, **kwargs)
+    def counting_rule(*args):
+        rule = rule_of(*args)
+
+        def fill(nodes, weights, lo, hi):
+            parts.append((lo, hi))
+            return rule.fill(nodes, weights, lo, hi)
+
+        return rule._replace(fill=fill)
 
     call = ScalarField.__call__
 
@@ -420,7 +454,7 @@ def test_limit_builds_its_nodes_once_per_part(kind, monkeypatch):
         points.append(len(np.atleast_2d(p)))
         return call(self, p)
 
-    monkeypatch.setattr(limits, name, counting_build)
+    monkeypatch.setattr(limits, name, counting_rule)
     monkeypatch.setattr(ScalarField, "__call__", counting_call)
     field = _smooth(3)
     spec = QuadratureSpec(5)

@@ -9,7 +9,8 @@ lines of every module under ``src/simplexgrad``: the physical lines that
 hold a token of code, so docstrings (found with ``ast``), comments and
 blank lines are left out, and a statement over several lines counts each
 of them. It prints one row per module, one column per checkout, then the
-total.
+total. A ROOT without ``src/simplexgrad`` (such as the package directory
+itself) is an error: one line on stderr, exit 2.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("roots", type=Path, nargs="+", help="checkouts to count")
     args = parser.parse_args(argv)
+    for root in args.roots:
+        if not (root / PACKAGE).is_dir():
+            print(f"error: {root} has no {PACKAGE}; give checkout roots, not the package", file=sys.stderr)
+            return 2
     tables = [count_checkout(root) for root in args.roots]
     for table in tables:
         table["total"] = sum(table.values())

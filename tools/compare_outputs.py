@@ -5,16 +5,17 @@ Usage::
     python tools/compare_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository. For each, the script
-runs the three ``convergence`` commands of the README, five more (a 3-d
+runs the three ``convergence`` commands of the README, six more (a 3-d
 ball, an arbitrary rect sample of one block a row, the same sample at
 128^2..512^2, of 1, 4 and 16 blocks a row, a 2-d ball with odd and even
-counts, and a thin box whose last rows take the estimator's SVD route), the
+counts, a thin box whose last rows take the estimator's SVD route, and a
+3-d box whose limit is summed in 16 parts), the
 three convergence workloads of the benchmark (``perfbench/workloads.py``) at
 seed 0 and every ``reproduce <id> --out`` example, each as ``python -m
 simplexgrad.cli``, plus one in-process command (``python -c``) that runs
 the README's rect and ball configs at another x0 and then at the anchor,
 in one process, and writes the second CSVs: so each checkout's stencil
-table is warm for them, and its warm path is compared too. That is 17
+table is warm for them, and its warm path is compared too. That is 18
 commands in all, each with that checkout's ``src/`` on ``PYTHONPATH`` and
 a fresh temporary directory as the working directory. It compares the exit
 codes, stdout (with the temporary directory masked) and every written file
@@ -80,6 +81,9 @@ COMMANDS = [(label, CLI + argv) for label, argv in [
                                    "--nodes", "32", "--out", "{out}/mirrored.csv"]),
     ("convergence thin box", ["convergence", "--field", "affine2", "--region", "rect", "--sides", "1,1e-11",
                               "--schedule", "2^2..2^9", "--nodes", "16", "--out", "{out}/thin.csv"]),
+    # a box limit of 16 parts (64^3 nodes, four x_1 slices of 4,096 a part); every other box limit is one part
+    ("convergence box limit parts", ["convergence", "--field", "affine3", "--region", "rect", "--schedule", "2,3,5",
+                                     "--nodes", "64", "--out", "{out}/box-parts.csv"]),
     # the benchmark's convergence workloads at seed 0 (perfbench/workloads.py)
     ("convergence rect-grid", ["convergence", "--field", "cubic2", "--region", "rect", "--sides", "1,1",
                                "--schedule", "2^2..2^11", "--nodes", "64", "--seed", "0",
