@@ -116,20 +116,16 @@ def _affine(dim: int, seed: int, g: np.ndarray, c: float) -> FieldEntry:
     )
 
 
-def _drawn(dim: int, seed: int, *doubles: str) -> FieldEntry:
-    """``make_affine(dim, seed)`` from the doubles its generator draws, g's then c, as ``float.hex`` strings."""
-    *g, c = map(float.fromhex, doubles)
-    return _affine(dim, seed, np.array(g), c)
-
-
 # affine2 and affine3 are make_affine(2, seed=42) and make_affine(3, seed=43), their draws written out bit for
 # bit, so that building the registry does not import numpy.random
 _REGISTRY: dict[str, FieldEntry] = {}
 for _entry in (
     _quad2(),
     _cubic2(),
-    _drawn(2, 42, "0x1.1887ef345b648p+0", "-0x1.f4b533cb0dc10p-3", "0x1.6f344b09bb684p-1"),
-    _drawn(3, 43, "0x1.37e8ad040ae74p-1", "-0x1.d32c8fc265100p+0", "-0x1.eb7d5d2db0ff0p+0", "0x1.5b5a8b111b36ap-1"),
+    _affine(2, 42, np.array([float.fromhex("0x1.1887ef345b648p+0"), float.fromhex("-0x1.f4b533cb0dc10p-3")]),
+            float.fromhex("0x1.6f344b09bb684p-1")),
+    _affine(3, 43, np.array([float.fromhex("0x1.37e8ad040ae74p-1"), float.fromhex("-0x1.d32c8fc265100p+0"),
+                             float.fromhex("-0x1.eb7d5d2db0ff0p+0")]), float.fromhex("0x1.5b5a8b111b36ap-1")),
 ):
     _REGISTRY[_entry.id] = _entry
 

@@ -148,10 +148,9 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
     ``block`` is an n x m block of columns whose first has index ``start``;
     its increments are ``f(x0 + block[:, j]) - f(x0)``. f(x0) is evaluated
     once, before the first block. ``block`` is yielded as ``blocks`` gave
-    it, so a lazy sample's block or a quadrature part is valid only until
-    the next is requested; the points passed to the field and the
-    increments are fresh arrays for each block, which a field may keep.
-    Raises ``EvaluationError`` at the first
+    it, so a lazy sample's block is valid only until the next is requested;
+    the points passed to the field and the increments are fresh arrays for
+    each block, which a field may keep. Raises ``EvaluationError`` at the first
     column whose evaluation fails or whose increment is not finite (column
     -1 is x0 itself), naming it by its index as a ``unit``. ``MemoryError``
     propagates unchanged.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .closed_forms import ball_volume, dense_limit_matrix
 from .gsg import EvaluationError, ScalarField, _increments, _quiet_overflow
-from .quadrature import QuadratureSpec, _ball_rule, _box_rule, _parts
+from .quadrature import QuadratureSpec, _parts, ball_nodes, box_nodes
 
 __all__ = [
     "CapabilityError",
@@ -52,20 +52,20 @@ class LimitGradientResult:
     nodes_per_axis: int
 
 
-def _moments(field: ScalarField, x0, rule) -> np.ndarray:
-    """Moment vector ``T = sum_j w_j t(p_j) p_j`` over the nodes of ``rule``, summed part by part.
+def _moments(field: ScalarField, x0, m: int, build) -> np.ndarray:
+    """Moment vector ``T = sum_j w_j t(p_j) p_j`` over an ``m``-per-axis rule, built and summed part by part.
 
     t is the increment ``f(x0 + p) - f(x0)``; f(x0) is evaluated once.
-    ``rule`` was checked once, before the walk; the walk
-    (``quadrature._parts``) fills each part's nodes and weights into its
-    two buffers, and the weights ride through the shared increments walk
-    as the part's payload. Each part's increments are scaled by its
-    weights in place.
+    ``build(part)`` returns one part's nodes and weights (see
+    ``quadrature._parts``); each part's weights ride through the shared
+    increments walk as its block's payload, and scale its increments in
+    place.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     moments = np.zeros(field.dim)
+    parts = ((start, points.T, w) for start, points, w in _parts(field.dim, m, build))
     with _quiet_overflow():
-        for _, block, increments, w in _increments(field, x0, _parts(rule), unit="node"):
+        for _, block, increments, w in _increments(field, x0, parts, unit="node"):
             increments *= w
             moments += increments @ block.T
     if not np.isfinite(moments).all():
@@ -75,12 +75,12 @@ def _moments(field: ScalarField, x0, rule) -> np.ndarray:
 
 def box_moment_vector(field: ScalarField, x0, d, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Moments ``integral of x_i (f(x0+x) - f(x0))`` over ``[0,d_1]x...x[0,d_n]``."""
-    return _moments(field, x0, _box_rule(d, spec))
+    return _moments(field, x0, spec.nodes_per_axis, lambda part: box_nodes(d, spec, part))
 
 
 def ball_moment_vector(field: ScalarField, x0, r: float, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Moments ``integral of x_i (f(x0+x) - f(x0))`` over the ball of radius r."""
-    return _moments(field, x0, _ball_rule(field.dim, r, spec))
+    return _moments(field, x0, spec.nodes_per_axis, lambda part: ball_nodes(field.dim, r, spec, part))
 
 
 def _result(kind: str, params, x0, spec: QuadratureSpec, moments, estimate) -> LimitGradientResult:

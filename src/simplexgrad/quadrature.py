@@ -12,7 +12,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,12 +59,13 @@ def _gl_axis(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (q + 1.0), half * w
 
 
-def _weight_product(ws: list[np.ndarray], out: np.ndarray) -> None:
-    """Write the tensor product ``w_1 * w_2 * ...`` of per-axis weights into the n-d grid ``out``."""
+def _weight_product(ws: list[np.ndarray]) -> np.ndarray:
+    """Tensor product ``w_1 * w_2 * ...`` of per-axis weights, as an n-d grid."""
     n = len(ws)
-    np.copyto(out, _along(ws[0], 0, n))
+    weights = _along(ws[0], 0, n)
     for k in range(1, n):
-        out *= _along(ws[k], k, n)
+        weights = weights * _along(ws[k], k, n)
+    return weights
 
 
 def _part(part, m: int) -> tuple[int, int]:
@@ -81,38 +81,27 @@ def _part(part, m: int) -> tuple[int, int]:
     return lo, hi
 
 
-class _Rule(NamedTuple):
-    """A checked tensor rule of ``m`` nodes per axis in ``n`` dimensions, filled part by part.
+def box_nodes(d, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (b, n) and weights (b,) for the box ``[0, d_1] x ... x [0, d_n]``.
 
-    ``fill(nodes, weights, lo, hi)`` writes the b nodes whose first-axis
-    index is in ``lo..hi-1`` into the flat ``nodes`` (n b floats) and
-    their weights into ``weights`` (b,), and returns the nodes as an
-    n x b view of ``nodes``: the transpose of C-ordered b x n rows for the
-    box, C-contiguous n x b for the ball.
+    Nodes run with x_1 slowest. ``part=(lo, hi)`` returns only the nodes
+    whose x_1 index is in ``lo..hi-1`` (b = (hi - lo) m^(n-1)), bitwise
+    equal to those rows of the full call; the full call is the part
+    ``(0, m)``. Raises ``ValueError`` for a bad part and
+    ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
+    ``DEFAULT_COLUMN_BUDGET``.
     """
-
-    n: int
-    m: int
-    fill: Callable[[np.ndarray, np.ndarray, int, int], np.ndarray]
-
-
-def _box_rule(d, spec: QuadratureSpec) -> _Rule:
-    """The rule of ``box_nodes``, its sides and node budget checked."""
     d = np.array(_lengths(np.ravel(d)))
     m = spec.nodes_per_axis
-    n = _integer(d.size, "dimension", 1)
-    _check_budget(m**n, "quadrature nodes")
+    _check_budget(m ** _integer(d.size, "dimension", 1), "quadrature nodes")
+    lo, hi = _part(part, m)
     (q, w), *rest = [_gl_axis(0.0, di, m) for di in d]
-
-    def fill(nodes, weights, lo, hi):
-        axes = [(q[lo:hi], w[lo:hi])] + rest
-        points = nodes.reshape(tuple(a.size for a, _ in axes) + (n,))
-        for k, (a, _) in enumerate(axes):
-            points[..., k] = _along(a, k, n)
-        _weight_product([wk for _, wk in axes], weights.reshape(points.shape[:-1]))
-        return nodes.reshape(-1, n).T
-
-    return _Rule(n, m, fill)
+    axes = [(q[lo:hi], w[lo:hi])] + rest
+    n = len(axes)
+    points = np.empty(tuple(q.size for q, _ in axes) + (n,))
+    for k, (q, _) in enumerate(axes):
+        points[..., k] = _along(q, k, n)
+    return points.reshape(-1, n), _weight_product([w for _, w in axes]).reshape(-1)
 
 
 @functools.lru_cache(maxsize=4)
@@ -133,65 +122,10 @@ def _ball_axes(n: int, r: float, m: int):
     units = np.empty((n,) + (m,) * (n - 1))
     phis = [_trig(_along(phi, k, n - 1)) for k, (phi, _) in enumerate(polar, 1)]
     _spherical_map(1.0, _trig(_along(theta, 0, n - 1)), phis, units)
-    angular = np.empty((m,) * (n - 1))
-    _weight_product([w_theta] + [w * np.sin(phi) ** (n - 2 - k) for k, (phi, w) in enumerate(polar)], angular)
+    angular = _weight_product([w_theta] + [w * np.sin(phi) ** (n - 2 - k) for k, (phi, w) in enumerate(polar)])
     radial, units, angular = w_rho * rho ** (n - 1), units.reshape(n, -1), angular.reshape(-1)
     _read_only(rho, radial, units, angular)
     return rho, radial, units, angular
-
-
-def _ball_rule(n: int, r: float, spec: QuadratureSpec) -> _Rule:
-    """The rule of ``ball_nodes``, its dimension, radius and node budget checked."""
-    n = _integer(n, "dimension", 2)
-    r = _lengths((r,), "radius")[0]
-    m = spec.nodes_per_axis
-    _check_budget(m**n, "quadrature nodes")
-    rho, radial, units, angular = _ball_axes(n, r, m)
-
-    def fill(nodes, weights, lo, hi):
-        np.multiply(units[:, None, :], rho[lo:hi, None], out=nodes.reshape(n, hi - lo, -1))
-        np.multiply(radial[lo:hi, None], angular, out=weights.reshape(hi - lo, -1))
-        return nodes.reshape(n, -1)
-
-    return _Rule(n, m, fill)
-
-
-def _parts(rule: _Rule, bounds=None):
-    """Yield ``(start, block, weights)`` for each part of ``rule``: its n x b nodes and their weights.
-
-    ``start`` is the index of the part's first node in the whole rule. The
-    parts are ``bounds``, first-axis slices ``(lo, hi)``, by default as many
-    whole slices as fit in ``BLOCK_COLUMNS`` nodes, and at least one
-    (``_block_bounds``), so no ``m^n`` array is formed. Every part is
-    filled into a prefix of two buffers made when the walk starts, as
-    large as its first part: a yielded part is valid only until the next
-    is requested.
-    """
-    n, m, fill = rule
-    width = m ** (n - 1)
-    bounds = list(_block_bounds(m, width) if bounds is None else bounds)
-    size = (bounds[0][1] - bounds[0][0]) * width
-    nodes, weights = np.empty(n * size), np.empty(size)
-    start = 0
-    for lo, hi in bounds:
-        b = (hi - lo) * width
-        yield start, fill(nodes[: n * b], weights[:b], lo, hi), weights[:b]
-        start += b
-
-
-def box_nodes(d, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (b, n) and weights (b,) for the box ``[0, d_1] x ... x [0, d_n]``.
-
-    Nodes run with x_1 slowest. ``part=(lo, hi)`` returns only the nodes
-    whose x_1 index is in ``lo..hi-1`` (b = (hi - lo) m^(n-1)), bitwise
-    equal to those rows of the full call; the full call is the part
-    ``(0, m)``. Raises ``ValueError`` for a bad part and
-    ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
-    ``DEFAULT_COLUMN_BUDGET``.
-    """
-    rule = _box_rule(d, spec)
-    _, block, weights = next(_parts(rule, [_part(part, rule.m)]))
-    return block.T, weights
 
 
 def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np.ndarray, np.ndarray]:
@@ -211,17 +145,36 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=N
     for a bad part and ``BudgetExceededError`` when ``nodes_per_axis ** n``
     exceeds ``DEFAULT_COLUMN_BUDGET``.
     """
-    rule = _ball_rule(n, r, spec)
-    _, block, weights = next(_parts(rule, [_part(part, rule.m)]))
-    return block.T, weights
+    n = _integer(n, "dimension", 2)
+    r = _lengths((r,), "radius")[0]
+    m = spec.nodes_per_axis
+    _check_budget(m**n, "quadrature nodes")
+    lo, hi = _part(part, m)
+    rho, radial, units, angular = _ball_axes(n, r, m)
+    points = (units[:, None, :] * rho[lo:hi, None]).reshape(n, -1).T
+    return points, (radial[lo:hi, None] * angular).reshape(-1)
 
 
-def _integrate(g, rule: _Rule) -> float:
-    """``sum_j w_j g(p_j)`` over the parts of ``rule`` (see ``_parts``); ``g`` gets each part's nodes as b x n rows."""
-    field = ScalarField(rule.n, g)
+def _parts(n: int, m: int, build):
+    """Yield ``(start, points, weights)`` for each part of an ``m``-per-axis rule in ``n`` dimensions.
+
+    ``build(part)`` returns one part's nodes and weights, and ``start`` is
+    the index of its first node in the whole rule. The parts are as many
+    whole first-axis slices as fit in ``BLOCK_COLUMNS`` nodes, and at least
+    one (``_block_bounds``), so no ``m^n`` array is formed.
+    """
+    start = 0
+    for part in _block_bounds(m, m ** (n - 1)):
+        points, weights = build(part)
+        yield start, points, weights
+        start += weights.size
+
+
+def _integrate(g, n: int, m: int, build) -> float:
+    """``sum_j w_j g(p_j)`` over the parts of an ``m``-per-axis rule (see ``_parts``)."""
+    field = ScalarField(n, g)
     total = 0.0
-    for start, block, weights in _parts(rule):
-        points = block.T
+    for start, points, weights in _parts(n, m, build):
         vals = field(points)
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
@@ -237,12 +190,12 @@ def integrate_box(g, d, spec: QuadratureSpec = QuadratureSpec()) -> float:
     single points. Exact for polynomials of per-axis degree up to
     ``2 * nodes_per_axis - 1``. The rule is built and summed part by part.
     """
-    return _integrate(g, _box_rule(d, spec))
+    return _integrate(g, np.size(d), spec.nodes_per_axis, lambda part: box_nodes(d, spec, part))
 
 
 def integrate_ball(g, n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Integral of ``g`` over the ball of radius ``r`` centered at the origin, summed part by part."""
-    return _integrate(g, _ball_rule(n, r, spec))
+    return _integrate(g, n, spec.nodes_per_axis, lambda part: ball_nodes(n, r, spec, part))
 
 
 def _even_surface_factor(alpha: np.ndarray) -> float:

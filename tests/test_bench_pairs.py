@@ -33,6 +33,7 @@ class FakeRunner:
             "attempted": 6,
             "failed": 1 if side == "change" else 0,
             "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()},
+            "stderr": ["worker for rect-grid timed out"] if side == "change" else [],
         }
         return result, {"commit": f"{side}-commit", "workload": workload}
 
@@ -59,7 +60,7 @@ def test_the_file_has_the_bench_schema(tmp_path):
     assert set(bench) >= {"command", "method", "parent", "seed", "workloads", "env", "claimed", "notes"}
     assert bench["parent"] == "parent-commit" and bench["seed"] == 7
     entry = bench["workloads"]["rect-grid"]
-    assert set(entry) == {*METRICS, "attempted_passes", "failed_passes", "correct"}
+    assert set(entry) == {*METRICS, "attempted_passes", "failed_passes", "correct", "stderr"}
     for metric in METRICS:
         assert set(entry[metric]) == {"parent", "change", "change_wins", "pairs", "median_change_pct"}
         for side in ("parent", "change"):
@@ -70,6 +71,8 @@ def test_the_file_has_the_bench_schema(tmp_path):
     assert (run_s["parent"]["q1"], run_s["parent"]["q3"], run_s["parent"]["iqr"]) == (1.25, 3.75, 2.5)
     assert run_s["change_wins"] == 4 and run_s["pairs"] == 4 and run_s["median_change_pct"] == -20.0
     assert entry["failed_passes"] == {"parent": 0, "change": 4} and entry["attempted_passes"]["parent"] == 24
+    # each failed pass's reason is kept with its pair
+    assert entry["stderr"] == {"parent": [], "change": [f"pair {k}: worker for rect-grid timed out" for k in range(4)]}
     assert bench["env"]["rect-grid"]["change"]["commit"] == "change-commit"
     assert bench["claimed"] == {"workload": "rect-grid", "metric": "run_s", "bound": "9 of 10"}
     assert bench["notes"] == ["a note"]

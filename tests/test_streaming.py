@@ -436,17 +436,12 @@ def test_limit_builds_its_nodes_once_per_part(kind, monkeypatch):
     from simplexgrad import limits
 
     monkeypatch.setattr(regions, "BLOCK_COLUMNS", 2 * 5**2)
-    name = f"_{kind}_rule"
-    rule_of, parts, points = getattr(limits, name), [], []
+    name = f"{kind}_nodes"
+    build, parts, points = getattr(limits, name), [], []
 
-    def counting_rule(*args):
-        rule = rule_of(*args)
-
-        def fill(nodes, weights, lo, hi):
-            parts.append((lo, hi))
-            return rule.fill(nodes, weights, lo, hi)
-
-        return rule._replace(fill=fill)
+    def counting_build(*args, **kwargs):
+        parts.append(kwargs.get("part", args[-1]))
+        return build(*args, **kwargs)
 
     call = ScalarField.__call__
 
@@ -454,7 +449,7 @@ def test_limit_builds_its_nodes_once_per_part(kind, monkeypatch):
         points.append(len(np.atleast_2d(p)))
         return call(self, p)
 
-    monkeypatch.setattr(limits, name, counting_rule)
+    monkeypatch.setattr(limits, name, counting_build)
     monkeypatch.setattr(ScalarField, "__call__", counting_call)
     field = _smooth(3)
     spec = QuadratureSpec(5)

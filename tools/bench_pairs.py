@@ -17,7 +17,10 @@ n=4) of the runs' values and their count, the number of pairs the change
 won (its value better in the metric's direction; a tie counts for neither
 side), and the change's median relative to the parent's, in percent. With
 ``--traced-seconds``, one ``--trace 1`` run per side and workload adds the
-per-layer medians under ``traced_single_run``.
+per-layer medians under ``traced_single_run``. Each workload's entry keeps
+the stderr lines of every run, prefixed with their pair, per side: where
+``run.py`` says why a pass failed (a worker's timeout or exit code, or the
+check's problems).
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ def end_to_end() -> dict[str, str]:
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
-    """The JSON result and the env record of one ``perfbench/run.py`` run in ``checkout``."""
+    """The JSON result, with its stderr lines under ``"stderr"``, and the env record of one ``perfbench/run.py`` run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    return json.loads(lines[-1]), env
+    return {**json.loads(lines[-1]), "stderr": done.stderr.splitlines()}, env
 
 
 def spread(values: list[float]) -> dict:
@@ -65,7 +68,8 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
 def pairs(run, parent: Path, change: Path, workload: str, seed: int, seconds: int, count: int) -> dict:
     """Run ``count`` alternating pairs of one workload; return the values, env records and pass counts per side."""
     checkouts = dict(zip(SIDES, (parent, change)))
-    got = {side: {"values": [], "env": None, "attempted": 0, "failed": 0, "correct": True} for side in SIDES}
+    got = {side: {"values": [], "env": None, "attempted": 0, "failed": 0, "correct": True, "stderr": []}
+           for side in SIDES}
     for k in range(count):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
             result, env = run(checkouts[side], workload, seed, seconds, 0)
@@ -75,6 +79,7 @@ def pairs(run, parent: Path, change: Path, workload: str, seed: int, seconds: in
             record["attempted"] += result["attempted"]
             record["failed"] += result["failed"]
             record["correct"] = record["correct"] and result["correct"]
+            record["stderr"] += [f"pair {k}: {line}" for line in result.get("stderr", ())]
     return got
 
 
@@ -91,7 +96,8 @@ def summary(got: dict, metrics: dict[str, str]) -> dict:
             "pairs": len(parent),
             "median_change_pct": 100.0 * (c["median"] - p["median"]) / p["median"],
         }
-    for key, field in (("attempted_passes", "attempted"), ("failed_passes", "failed"), ("correct", "correct")):
+    for key, field in (("attempted_passes", "attempted"), ("failed_passes", "failed"), ("correct", "correct"),
+                       ("stderr", "stderr")):
         out[key] = {side: got[side][field] for side in SIDES}
     return out
 
