@@ -47,7 +47,6 @@ __all__ = [
     "REPRODUCE_IDS",
     "reproduce",
     "convergence",
-    "antipodal_half",
 ]
 
 CSV_SCHEMA = "convergence-v1"

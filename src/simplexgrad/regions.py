@@ -40,13 +40,15 @@ __all__ = [
 DEFAULT_COLUMN_BUDGET = 10_000_000
 
 # most columns in a block of SampleMatrix's walk, and most nodes in a part of the limit
-# quadrature's walk, unless one slice alone is wider (see _block_bounds); read at call time
+# quadrature's walk, unless one slice alone is wider (see _block_bounds); fixed when a sample is
+# built (its blocks and its stencil-table key), read when a quadrature is called
 BLOCK_COLUMNS = 16_384
 
 # The stencil table: the radius and S S^T that a grid sample's walk summed to its end, by
 # (tag, counts, extent, BLOCK_COLUMNS). A grid's directions depend on its shape and counts, never
-# on x0, so every later sample of that geometry in this process reads them instead of summing; the
-# blocks fix the Gram's summation order, hence BLOCK_COLUMNS in the key. Oldest entry out first.
+# on x0, so every sample of that geometry built later in this process reads them instead of summing;
+# the blocks fix the Gram's summation order, hence BLOCK_COLUMNS, as read when the sample was built,
+# in the key. Oldest entry out first.
 # It helps only a caller who builds a geometry again: a caller who keeps its sample and reads it at a
 # new x0 gets the same skip from the sample's own sums, and a one-shot run never hits the table.
 _STENCIL_ENTRIES = 64
@@ -137,39 +139,45 @@ class SampleMatrix:
     both arrays only on first access.
 
     Every sample is cut into blocks here, the antipodal half of a planar
-    ball grid included. A sample holds its grid shape in column order,
-    slowest axis first (one flat axis of N columns for a sample built from
-    arrays), and one ``_block(lo, hi)`` function that returns slowest-axis
+    ball grid included. A sample holds plain data, all fixed when it is
+    built: its grid shape in column order, slowest axis first (one flat
+    axis of N columns for a sample built from arrays); a lazy sample's
+    ``fill``, which writes slowest-axis slices into an array it is given
+    (``None`` for a sample built from arrays); its block bounds; its
+    stencil-table key; and ``_sums``, the radius and ``S S^T``, or
+    ``None`` until a walk sums them. ``_block(lo, hi, buffer)`` returns
     slices ``lo..hi-1`` as an n x b array: a view for a sample built from
-    arrays; for a lazy sample, a freshly filled array, or, when the walk
-    calls it, a prefix of the walk's one buffer. ``_blocks`` yields
-    as many whole slices at a time as fit in ``BLOCK_COLUMNS``, and at
-    least one; ``_block_bounds`` holds that rule, and the limit quadrature
-    cuts its nodes into parts by it too. ``directions`` and the SVD of
+    arrays; for a lazy sample, filled into a prefix of ``buffer``, which
+    the walk passes, or else into a fresh array. ``_blocks`` yields as
+    many whole slices at a time as fit in ``BLOCK_COLUMNS``, and at least
+    one; ``_block_bounds`` holds that rule, and the limit quadrature cuts
+    its nodes into parts by it too. ``directions`` and the SVD of
     ``singular_range`` get fresh arrays.
     One walk, ``_blocks``, sums the radius and ``S S^T`` the first time it
-    runs to its end over a geometry, whoever runs it (the estimator,
-    ``function_increments``, ``to_csv``, or a bound or ``radius`` through
-    ``_walked``), and keeps both in ``_sums``, unless ``_sums`` was given:
-    then the walk never sums, and ``_sums`` is either the pair itself or a
-    function that returns it (the antipodal half's, which reads S's), called
-    on first need and replaced by its result. A grid sample of
-    ``rect_grid_sample`` or ``ball_grid_sample`` has a geometry (its tag,
-    counts and extent, d or r, never x0) and reads its pair, on first need,
-    from the stencil table, where a walk of that geometry that ran to its end
-    entered it, read-only, under that geometry and ``BLOCK_COLUMNS`` (which
-    fixes the Gram's summation order): so a second sample of one geometry
+    runs to its end while ``_sums`` is None, whoever runs it (the
+    estimator, ``function_increments``, ``to_csv``, or a bound or
+    ``radius`` through ``_walked``), and keeps both in ``_sums``; a sample
+    built with its sums (the antipodal half, which takes S's) never sums.
+    A grid sample of ``rect_grid_sample`` or ``ball_grid_sample`` has a
+    geometry (its tag, counts and extent, d or r, never x0). One read of
+    ``BLOCK_COLUMNS`` when the sample is built fixes both its blocks, and
+    so the Gram's summation order, and its stencil-table key, the geometry
+    and that ``BLOCK_COLUMNS``: a later change of ``BLOCK_COLUMNS`` moves
+    neither, and the two cannot disagree. The sample looks its key up in
+    the table when it is built, and its walk, run to its end, enters its
+    sums there, read-only: so a sample built after a walk of its geometry
     sums nothing, and its bounds walk nothing. A walk stopped early enters
     nothing; array, arbitrary and half samples have no geometry and never
-    read or write the table. The radius, the Gram spectrum and ``singular_range``,
-    the one reader of S's singular values for the estimator's route and
-    cond and for the bounds, are read from there (an ill-conditioned S adds
-    one SVD), so a fresh sample is read at most once. Each block's sums are
-    the same operations in the same order whoever walks, so the radius, the
-    Gram and the estimate are bitwise the same whichever reader walks
-    first, whether or not the arrays were ever built, and whether the pair
-    came from the table. A sample built
-    from arrays must have finite directions.
+    read or write the table. The radius, the Gram spectrum and
+    ``singular_range``, the one reader of S's singular values for the
+    estimator's route and cond and for the bounds, are read from there (an
+    ill-conditioned S adds one SVD), so a fresh sample is read at most
+    once. Each block's sums are the same operations in the same order
+    whoever walks, so the radius, the Gram and the estimate are bitwise
+    the same whichever reader walks first, whether or not the arrays were
+    ever built, and whether the pair came from the table. No sample is a
+    reference cycle, so each is freed with its last reference. A sample
+    built from arrays must have finite directions.
     """
 
     def __init__(self, directions: np.ndarray, tag: str, indices: np.ndarray | None):
@@ -184,73 +192,62 @@ class SampleMatrix:
             indices.flags.writeable = False
         directions.flags.writeable = False
         self.__dict__.update(directions=directions, indices=indices)
-        self._setup(tag, None, dim, (n_columns,), lambda lo, hi: directions[:, lo:hi])
+        self._setup(tag, None, dim, (n_columns,), None)
 
     @classmethod
-    def _lazy(
-        cls, tag: str, region: HyperrectRegion | BallRegion, shape: tuple[int, ...], fill, sums=None
-    ) -> SampleMatrix:
+    def _lazy(cls, tag: str, region, shape: tuple[int, ...], fill, sums=None, geometry=None) -> SampleMatrix:
         """Sample of a grid of ``shape`` cells (column order), written slice by slice:
         ``fill(out, lo, hi)`` writes slowest-axis slices ``lo..hi-1`` into ``out``, n x (hi - lo)
-        x ``shape[1:]``. ``sums``, if given, are the walk's, or a function that returns them (see
-        ``_walked``)."""
-        dim = region.dim
-
-        def block(lo, hi):
-            # into the walk's buffer if the walk handed one over for this call, else a fresh array
-            buffer, sample._buffer = sample._buffer, None
-            size = (dim, hi - lo) + shape[1:]
-            out = np.empty(size) if buffer is None else buffer[: math.prod(size)].reshape(size)
-            fill(out, lo, hi)
-            return out.reshape(dim, -1)
-
+        x ``shape[1:]``. ``sums``, if given, are the walk's radius and ``S S^T``, fixed now; ``geometry``,
+        if given, is the grid's ``(counts, extent)``, which with the tag and ``BLOCK_COLUMNS`` keys the
+        sample in the stencil table (see ``SampleMatrix``)."""
         sample = cls.__new__(cls)
-        sample._setup(tag, region, dim, shape, block, sums)
+        sample._setup(tag, region, region.dim, shape, fill, sums, geometry)
         return sample
 
-    def _setup(self, tag: str, region, dim: int, shape: tuple[int, ...], block, sums=None) -> None:
+    def _setup(self, tag: str, region, dim: int, shape: tuple[int, ...], fill, sums=None, geometry=None) -> None:
         self.tag = tag
         self.region = region
         self.dim = dim
         self.n_columns = math.prod(shape)
         self._shape = shape
-        self._block = block
-        self._sums = sums
-        self._buffer = None  # the walk's buffer, set by ``_blocks`` for one ``_block`` call
-        self._geometry = None  # (counts, extent), set by the grid builders: the sample's stencil-table key
+        self._fill = fill
+        # one read of BLOCK_COLUMNS fixes the blocks, hence the Gram's summation order, and the table key
+        columns = BLOCK_COLUMNS
+        self._bounds = tuple(_block_bounds(shape[0], math.prod(shape[1:]), columns))
+        self._key = None if geometry is None else (tag, *geometry, columns)
+        self._sums = _STENCILS.get(self._key) if sums is None and self._key is not None else sums
 
-    def _stencil(self):
-        """This sample's stencil-table key, read now, or None; a missing ``_sums`` is taken from the table."""
-        if self._geometry is None:
-            return None
-        key = (self.tag, *self._geometry, BLOCK_COLUMNS)
-        if self._sums is None:
-            self._sums = _STENCILS.get(key)
-        return key
+    def _block(self, lo: int, hi: int, buffer: np.ndarray | None = None) -> np.ndarray:
+        """Slowest-axis slices ``lo..hi-1`` as an n x b array: a view of an array sample's
+        directions; for a lazy sample, filled into a prefix of ``buffer``, or a fresh array."""
+        if self._fill is None:
+            return self.directions[:, lo:hi]
+        size = (self.dim, hi - lo) + self._shape[1:]
+        out = np.empty(size) if buffer is None else buffer[: math.prod(size)].reshape(size)
+        self._fill(out, lo, hi)
+        return out.reshape(self.dim, -1)
 
     def _blocks(self):
         """Yield ``(start, block)``: each column block's n x b directions and its first column.
-        A walk begun while ``_sums`` is None, and not found in the stencil table, sums the radius
-        and ``S S^T``, keeps them there and, at its end, enters them in the table.
+        A walk begun while ``_sums`` is None sums the radius and ``S S^T``, keeps them there and,
+        at its end, enters them in the stencil table under the sample's key, if it has one.
 
         A lazy sample's walk fills every block into a C-contiguous prefix of one buffer, made when
         the walk starts, so a yielded block is valid only until the next block is requested: a
         caller that keeps one longer copies it. An array sample's blocks are views of its array."""
         width = math.prod(self._shape[1:])
-        key = self._stencil()
         summing = self._sums is None
         max_sq = 0.0
         gram = np.zeros((self.dim, self.dim))
-        bounds = list(_block_bounds(self._shape[0], width))
-        # a lazy sample's one buffer for the walk, as large as its first (largest) block
-        buffer = None if self.region is None else np.empty(self.dim * width * (bounds[0][1] - bounds[0][0]))
-        for lo, hi in bounds:
-            self._buffer = buffer  # for this one call: the lazy sample's _block takes it back
-            block = self._block(lo, hi)
+        # a lazy sample's one buffer for the walk, as large as its first (largest) block: slices 0..hi-1
+        buffer = None if self._fill is None else np.empty(self.dim * width * self._bounds[0][1])
+        for lo, hi in self._bounds:
+            block = self._block(lo, hi, buffer)
             if summing:
                 # a grid's entries grow in magnitude along its slowest axis, and rounding is monotone, so no
                 # column is longer than the last slice's one with the same other indices: scan only the last block
-                if key is None or hi == self._shape[0]:
+                if self._key is None or hi == self._shape[0]:
                     max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->j", block, block))))
                 gram += block @ block.T
             yield lo * width, block
@@ -258,8 +255,8 @@ class SampleMatrix:
             # sqrt(max sum of squares) rounds exactly like max(norm(axis=0)), without an n x N temporary
             gram.flags.writeable = False
             self._sums = float(np.sqrt(max_sq)), gram
-            if key is not None:
-                _STENCILS[key] = self._sums
+            if self._key is not None:
+                _STENCILS[self._key] = self._sums
                 if len(_STENCILS) > _STENCIL_ENTRIES:
                     _STENCILS.pop(next(iter(_STENCILS)), None)
 
@@ -277,11 +274,7 @@ class SampleMatrix:
         return idx
 
     def _walked(self) -> tuple[float, np.ndarray]:
-        """The radius and ``S S^T``: ``_sums``, called first if it is a function, else the stencil
-        table's, else summed by a walk run to its end."""
-        if callable(self._sums):
-            self._sums = self._sums()
-        self._stencil()
+        """The radius and ``S S^T``: ``_sums``, summed first by a walk run to its end if it is None."""
         if self._sums is None:
             for _ in self._blocks():
                 pass
@@ -348,14 +341,15 @@ class SampleMatrix:
         return text
 
 
-def _block_bounds(slices: int, width: int):
+def _block_bounds(slices: int, width: int, columns: int | None = None):
     """Yield ``(lo, hi)`` for each block of whole slices ``lo..hi-1``, ``width`` columns a slice.
 
-    A block holds as many slices as fit in ``BLOCK_COLUMNS`` columns, and at
-    least one. This is the one rule that cuts point sets: ``SampleMatrix``'s
-    column blocks and the limit quadrature's node parts.
+    A block holds as many slices as fit in ``columns`` columns (``BLOCK_COLUMNS``,
+    read now, if not given), and at least one. This is the one rule that cuts
+    point sets: ``SampleMatrix``'s column blocks and the limit quadrature's
+    node parts.
     """
-    step = max(1, BLOCK_COLUMNS // width)
+    step = max(1, (BLOCK_COLUMNS if columns is None else columns) // width)
     for lo in range(0, slices, step):
         yield lo, min(lo + step, slices)
 
@@ -483,6 +477,13 @@ def rect_grid_sample(region: HyperrectRegion) -> SampleMatrix:
     ``SampleMatrix``. Raises ``BudgetExceededError`` above
     ``DEFAULT_COLUMN_BUDGET`` columns.
     """
+    shape, fill = _far_corners(region)
+    return SampleMatrix._lazy("rect-grid", region, shape, fill, geometry=(region.counts, region.d))
+
+
+def _far_corners(region: HyperrectRegion):
+    """The box grid's shape in column order and the ``fill`` that writes its cells' far corners
+    (see ``SampleMatrix._lazy``), for the grid and the arbitrary sample; checks the column budget."""
     _check_budget(region.n_cells)
     n = region.dim
     order = _column_order(region)
@@ -493,9 +494,7 @@ def rect_grid_sample(region: HyperrectRegion) -> SampleMatrix:
         for a, v in enumerate(axes):
             out[a] = v[lo:hi] if a == order[0] else v
 
-    sample = SampleMatrix._lazy("rect-grid", region, tuple(region.counts[a] for a in order), fill)
-    sample._geometry = region.counts, region.d
-    return sample
+    return tuple(region.counts[a] for a in order), fill
 
 
 def rect_arbitrary_sample(region: HyperrectRegion, offsets=None, seed=None) -> SampleMatrix:
@@ -508,13 +507,14 @@ def rect_arbitrary_sample(region: HyperrectRegion, offsets=None, seed=None) -> S
     ``seed``; giving both raises ``ValueError``. The sample owns one n x N
     array, the shifts ``h * offsets`` (a copy, so a later write to the
     caller's offsets moves no point), and is otherwise lazy like the grid
-    sample: each block is the far corners' block minus its shifts, and
-    ``directions`` and ``indices`` are built only when read (see
-    ``SampleMatrix``). The column budget is that of ``rect_grid_sample``,
-    which gives the far corners.
+    sample: each block is filled with the far corners, less its shifts in
+    place, and ``directions`` and ``indices`` are built only when read (see
+    ``SampleMatrix``). The far corners, and the column budget, are those of
+    ``rect_grid_sample``; building the sample reads nothing of the stencil
+    table.
     """
-    grid = rect_grid_sample(region)
-    n, cols = region.dim, grid.n_columns
+    shape, corners = _far_corners(region)
+    n, cols = region.dim, region.n_cells
     h = np.asarray(region.sublengths)[:, None]
     if offsets is None:
         shift = np.random.default_rng(seed).random((n, cols))
@@ -527,12 +527,14 @@ def rect_arbitrary_sample(region: HyperrectRegion, offsets=None, seed=None) -> S
         if np.any(shift < 0.0) or np.any(shift > 1.0) or not np.all(np.isfinite(shift)):
             raise ValueError("offsets must lie in [0, 1]")
     shift *= h  # in place: the sample keeps this one n x N array
-    width = math.prod(grid._shape[1:])
+    width = math.prod(shape[1:])
 
     def fill(out, lo, hi):
-        np.subtract(grid._block(lo, hi), shift[:, lo * width : hi * width], out=out.reshape(n, -1))
+        corners(out, lo, hi)
+        flat = out.reshape(n, -1)
+        np.subtract(flat, shift[:, lo * width : hi * width], out=flat)
 
-    return SampleMatrix._lazy("rect-arbitrary", region, grid._shape, fill)
+    return SampleMatrix._lazy("rect-arbitrary", region, shape, fill)
 
 
 def ball_grid_sample(region: BallRegion) -> SampleMatrix:
@@ -554,9 +556,7 @@ def ball_grid_sample(region: BallRegion) -> SampleMatrix:
     ``BudgetExceededError`` above ``DEFAULT_COLUMN_BUDGET`` columns.
     """
     _check_budget(region.n_cells)
-    sample = _polar_grid(region, "ball-grid", region.counts[1])
-    sample._geometry = region.counts, region.r
-    return sample
+    return _polar_grid(region, "ball-grid", region.counts[1], geometry=(region.counts, region.r))
 
 
 def antipodal_half(sample: SampleMatrix) -> SampleMatrix | None:
@@ -571,24 +571,21 @@ def antipodal_half(sample: SampleMatrix) -> SampleMatrix | None:
     the first half-turn, n x N/2 and tagged ``ball-half``, on S's region
     and with the cell indices of its columns in S. Its radius and Gram are S's, the Gram halved: S S^T =
     2 A A^T holds for S = [A, -A], so A's Gram spectrum costs one 2 x 2
-    eigendecomposition and no pass over A's columns. Building A reads
-    nothing of S: A's sums are a function that reads S's the first time A's
-    radius or Gram is needed (walking S then, if nothing has yet), so a
-    caller may take A before or after S's own walk. Like every sample it is
-    read through ``SampleMatrix``'s one block function, which fills the
-    half-turn's columns only when something reads them (the SVD route of
-    its ``singular_range``, ``to_csv``); A's own walk never sums.
+    eigendecomposition and no pass over A's columns. A's sums are fixed
+    when A is built, read from S's then: from S's own walk if one has run
+    (as in ``convergence``, which takes A after the estimate), else by
+    walking S now; either way A's radius and Gram are bitwise the same. Like
+    every sample it is read through ``SampleMatrix``'s one block function,
+    which fills the half-turn's columns only when something reads them (the
+    SVD route of its ``singular_range``, ``to_csv``); A's own walk never sums.
     """
     if sample.tag != "ball-grid" or sample.region is None or sample.dim != 2 or sample.region.counts[1] % 2 != 0:
         return None
-
-    def sums():
-        return sample.radius, sample.gram_spectrum[0] / 2.0  # every column norm of S is one of A's
-
+    sums = sample.radius, sample.gram_spectrum[0] / 2.0  # every column norm of S is one of A's
     return _polar_grid(sample.region, "ball-half", sample.region.counts[1] // 2, sums)
 
 
-def _polar_grid(region: BallRegion, tag: str, azimuths: int, sums=None) -> SampleMatrix:
+def _polar_grid(region: BallRegion, tag: str, azimuths: int, sums=None, geometry=None) -> SampleMatrix:
     """Lazy sample of the polar grid's cells with azimuthal index y_2 <= ``azimuths``.
 
     The azimuth vector is the whole grid's cut short, so each column is
@@ -605,7 +602,7 @@ def _polar_grid(region: BallRegion, tag: str, azimuths: int, sums=None) -> Sampl
     def fill(out, lo, hi):
         _spherical_map(rho[lo:hi], theta, phis, out)
 
-    return SampleMatrix._lazy(tag, region, cells, fill, sums)
+    return SampleMatrix._lazy(tag, region, cells, fill, sums, geometry)
 
 
 def grid_jacobian(region: BallRegion, y) -> float:

@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
 import sympy
 
 from simplexgrad.closed_forms import grid_gram
+from simplexgrad.fields import get_field
+from simplexgrad.gsg import simplex_gradient
 from simplexgrad.linalg import pseudoinverse
 from simplexgrad.regions import (
     BallRegion,
     BudgetExceededError,
     HyperrectRegion,
     SampleMatrix,
+    _as_sample,
+    antipodal_half,
     ball_grid_sample,
     grid_jacobian,
     rect_arbitrary_sample,
@@ -387,3 +393,32 @@ class TestCsv:
             SampleMatrix(np.ones((2, 3)), "x", indices)
         lines = SampleMatrix(np.ones((2, 3)), "x", np.ones((3, 2), dtype=np.int64)).to_csv().splitlines()
         assert lines[1] == "2,3,x" and len(lines) == 3 + 3
+
+
+# every kind of sample, read through each of its caches
+FREED = {
+    "rect": lambda: rect_grid_sample(HyperrectRegion((0.0, 0.0), (1.0, 2.0), (6, 5))),
+    "arbitrary": lambda: rect_arbitrary_sample(HyperrectRegion((0.0, 0.0), (1.0, 2.0), (6, 5)), seed=1),
+    "ball-2d": lambda: ball_grid_sample(BallRegion((0.0, 0.0), 1.0, (4, 8))),
+    "ball-3d": lambda: ball_grid_sample(BallRegion((0.0, 0.0, 0.0), 1.0, (3, 4, 3))),
+    "half": lambda: antipodal_half(ball_grid_sample(BallRegion((0.0, 0.0), 1.0, (4, 8)))),
+    "array": lambda: _as_sample(np.arange(1.0, 13.0).reshape(2, 6)),
+}
+
+
+@pytest.mark.parametrize("build", FREED.values(), ids=FREED.keys())
+def test_a_sample_is_freed_with_its_last_reference(build):
+    # with the cycle collector off, only a sample that is no reference cycle is freed: its arrays with it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sample = build()
+        field = get_field("cubic2" if sample.dim == 2 else "affine3").field
+        simplex_gradient(field, np.zeros(sample.dim), sample)
+        arrays = [sample.directions] + ([] if sample.indices is None else [sample.indices])
+        refs = [weakref.ref(sample)] + [weakref.ref(a) for a in arrays]
+        del sample, arrays
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()

@@ -81,6 +81,7 @@ def test_lazy_and_materialized_samples_agree_bitwise(build, region, block_column
     lazy = build(region)
     got = _everything(lazy, field, x0)
     assert "directions" not in vars(lazy) and "indices" not in vars(lazy)
+    regions._STENCILS.clear()  # so that no sample built below reads the lazy sample's sums when built
     touched = build(region)
     directions, indices = touched.directions, touched.indices
 
@@ -149,7 +150,7 @@ def test_a_grid_walk_scans_only_its_last_block_for_the_radius(build, region, blo
     einsum, calls = np.einsum, []
     monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs))
     blocks = sum(1 for _ in sample._blocks())
-    assert calls == ["ij,ij->j"] * (1 if sample._geometry is not None else blocks)
+    assert calls == ["ij,ij->j"] * (1 if sample._key is not None else blocks)
     # the full scan: every column of the whole array, and every block as the walk cuts them
     directions = sample.directions
     whole = float(np.sqrt(np.max(einsum("ij,ij->j", directions, directions))))
@@ -303,12 +304,12 @@ def test_a_row_fills_each_block_once_and_evaluates_n_plus_one_points(region, blo
     fills, points = [], []
     lazy, call = SampleMatrix._lazy.__func__, ScalarField.__call__
 
-    def counting_lazy(cls, tag, grid, counts, fill, sums=None):
+    def counting_lazy(cls, tag, grid, counts, fill, sums=None, geometry=None):
         def counted(out, lo, hi):
             fills.append((lo, hi))
             fill(out, lo, hi)
 
-        return lazy(cls, tag, grid, counts, counted, sums)
+        return lazy(cls, tag, grid, counts, counted, sums, geometry)
 
     def counting_call(self, p):
         points.append(len(np.atleast_2d(p)))
@@ -374,22 +375,23 @@ def test_one_arbitrary_row_at_1024_squared_keeps_only_its_shifts(monkeypatch):
     assert "directions" not in vars(built[0]) and "indices" not in vars(built[0])
 
 
-def test_taking_the_half_first_reads_nothing_of_the_sample():
+def test_the_half_taken_first_or_after_gives_the_same_estimate_and_bound():
     region = BallRegion((0.5, -0.25), 1.5, (5, 8))
     field, x0 = _smooth(2), np.asarray(region.x0)
     got = []
     for half_first in (True, False):
+        regions._STENCILS.clear()  # so that each sample is walked on its own
         sample = ball_grid_sample(region)
         fills, block = [], sample._block
-        sample._block = lambda lo, hi: fills.append((lo, hi)) or block(lo, hi)
+        sample._block = lambda lo, hi, buffer=None: fills.append((lo, hi)) or block(lo, hi, buffer)
         if half_first:
-            half = antipodal_half(sample)
-            assert sample._sums is None and not fills
+            half = antipodal_half(sample)  # walks S for its radius and Gram
         estimate = simplex_gradient(field, x0, sample).estimate
         if not half_first:
             half = antipodal_half(sample)
         got.append((estimate, centered_bound(half, 3.0).value))
-        assert fills == [(0, 5)]  # S is walked once, by the estimate
+        # S is walked by the estimate and, taken first, by the half, which reads S's sums when built
+        assert fills == [(0, 5)] * (2 if half_first else 1)
     (first_estimate, first_bound), (then_estimate, then_bound) = got
     assert np.array_equal(first_estimate, then_estimate) and first_bound == then_bound
 

@@ -28,7 +28,7 @@ def small_blocks(monkeypatch):
 def _recorded(sample) -> list:
     """Every array ``sample._block`` returns, in call order."""
     got, block = [], sample._block
-    sample._block = lambda lo, hi: got.append(block(lo, hi)) or got[-1]
+    sample._block = lambda lo, hi, buffer=None: got.append(block(lo, hi, buffer)) or got[-1]
     return got
 
 
