@@ -196,7 +196,7 @@ def _increments(field: ScalarField, x0: np.ndarray, blocks, unit: str = "column"
         with _quiet_overflow():
             increments = values - base
             # one reduction on the success path; the scan runs only when it is not finite
-            total_finite = np.isfinite(np.sum(increments))
+            total_finite = math.isfinite(increments.sum())
         if not total_finite:
             bad = np.flatnonzero(~np.isfinite(increments))
             if bad.size:

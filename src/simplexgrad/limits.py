@@ -56,10 +56,13 @@ def _moments(field: ScalarField, x0, m: int, build) -> np.ndarray:
     """Moment vector ``T = sum_j w_j t(p_j) p_j`` over an ``m``-per-axis rule, built and summed part by part.
 
     t is the increment ``f(x0 + p) - f(x0)``; f(x0) is evaluated once.
-    ``build(part)`` returns one part's nodes and weights (see
-    ``quadrature._parts``); each part's weights ride through the shared
-    increments walk as its block's payload, and scale its increments in
-    place.
+    ``build(part, out)`` returns one part's nodes and weights, built into
+    the walk's two node buffers (see ``quadrature._parts``: allocated for
+    the first, largest part and reused for every later one), so a part's
+    nodes and weights are read before the next part overwrites them. Each
+    part's weights ride through the shared increments walk as its block's
+    payload, and scale its increments in place; the points the field gets
+    are fresh per part (``gsg._increments``).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     moments = np.zeros(field.dim)
@@ -75,12 +78,12 @@ def _moments(field: ScalarField, x0, m: int, build) -> np.ndarray:
 
 def box_moment_vector(field: ScalarField, x0, d, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Moments ``integral of x_i (f(x0+x) - f(x0))`` over ``[0,d_1]x...x[0,d_n]``."""
-    return _moments(field, x0, spec.nodes_per_axis, lambda part: box_nodes(d, spec, part))
+    return _moments(field, x0, spec.nodes_per_axis, lambda part, out: box_nodes(d, spec, part, out))
 
 
 def ball_moment_vector(field: ScalarField, x0, r: float, spec: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Moments ``integral of x_i (f(x0+x) - f(x0))`` over the ball of radius r."""
-    return _moments(field, x0, spec.nodes_per_axis, lambda part: ball_nodes(field.dim, r, spec, part))
+    return _moments(field, x0, spec.nodes_per_axis, lambda part, out: ball_nodes(field.dim, r, spec, part, out))
 
 
 def _result(kind: str, params, x0, spec: QuadratureSpec, moments, estimate) -> LimitGradientResult:

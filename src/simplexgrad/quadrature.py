@@ -59,12 +59,17 @@ def _gl_axis(lo: float, hi: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (q + 1.0), half * w
 
 
-def _weight_product(ws: list[np.ndarray]) -> np.ndarray:
-    """Tensor product ``w_1 * w_2 * ...`` of per-axis weights, as an n-d grid."""
+def _weight_product(ws: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Tensor product ``w_1 * w_2 * ...`` of per-axis weights, as an n-d grid written into ``out`` (fresh if None).
+
+    The factors are multiplied in axis order, ``(w_1 * w_2) * w_3 ...``, one
+    in-place product over the grid each.
+    """
     n = len(ws)
-    weights = _along(ws[0], 0, n)
+    weights = np.empty(tuple(w.size for w in ws)) if out is None else out
+    np.copyto(weights, _along(ws[0], 0, n))
     for k in range(1, n):
-        weights = weights * _along(ws[k], k, n)
+        weights *= _along(ws[k], k, n)
     return weights
 
 
@@ -81,27 +86,50 @@ def _part(part, m: int) -> tuple[int, int]:
     return lo, hi
 
 
-def box_nodes(d, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np.ndarray, np.ndarray]:
+def _buffers(out, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat prefixes of ``out`` = (points, weights) for ``b`` nodes in ``n`` dimensions: ``n b`` and ``b`` floats.
+
+    ``None`` gives two fresh buffers of exactly that size. A buffer that is
+    not a flat, C-contiguous float64 array long enough raises ``ValueError``.
+    """
+    if out is None:
+        return np.empty(n * b), np.empty(b)
+    points, weights = out
+    for buffer, size in ((points, n * b), (weights, b)):
+        if not (isinstance(buffer, np.ndarray) and buffer.dtype == np.float64 and buffer.ndim == 1
+                and buffer.flags.c_contiguous and buffer.size >= size):
+            raise ValueError(f"out must be two flat, C-contiguous float64 arrays of at least {n * b} and {b} elements")
+    return points[: n * b], weights[:b]
+
+
+def box_nodes(d, spec: QuadratureSpec = QuadratureSpec(), part=None, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (b, n) and weights (b,) for the box ``[0, d_1] x ... x [0, d_n]``.
 
     Nodes run with x_1 slowest. ``part=(lo, hi)`` returns only the nodes
     whose x_1 index is in ``lo..hi-1`` (b = (hi - lo) m^(n-1)), bitwise
     equal to those rows of the full call; the full call is the part
-    ``(0, m)``. Raises ``ValueError`` for a bad part and
-    ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
-    ``DEFAULT_COLUMN_BUDGET``.
+    ``(0, m)``. ``out=(points, weights)``, two flat float64 buffers of at
+    least ``n b`` and ``b`` elements, receives the nodes and weights in a
+    C-contiguous prefix of each, and the returned arrays are views of them
+    (the nodes as C-ordered rows), valid until ``out`` is written again;
+    ``out=None`` fills two fresh buffers of exactly that size. Raises
+    ``ValueError`` for a bad part or ``out`` and ``BudgetExceededError``
+    when ``nodes_per_axis ** n`` exceeds ``DEFAULT_COLUMN_BUDGET``.
     """
     d = np.array(_lengths(np.ravel(d)))
     m = spec.nodes_per_axis
-    _check_budget(m ** _integer(d.size, "dimension", 1), "quadrature nodes")
+    n = _integer(d.size, "dimension", 1)
+    _check_budget(m**n, "quadrature nodes")
     lo, hi = _part(part, m)
     (q, w), *rest = [_gl_axis(0.0, di, m) for di in d]
     axes = [(q[lo:hi], w[lo:hi])] + rest
-    n = len(axes)
-    points = np.empty(tuple(q.size for q, _ in axes) + (n,))
+    grid = tuple(q.size for q, _ in axes)
+    points, weights = _buffers(out, math.prod(grid), n)
+    points = points.reshape(grid + (n,))
     for k, (q, _) in enumerate(axes):
         points[..., k] = _along(q, k, n)
-    return points.reshape(-1, n), _weight_product([w for _, w in axes]).reshape(-1)
+    _weight_product([w for _, w in axes], weights.reshape(grid))
+    return points.reshape(-1, n), weights
 
 
 @functools.lru_cache(maxsize=4)
@@ -128,7 +156,9 @@ def _ball_axes(n: int, r: float, m: int):
     return rho, radial, units, angular
 
 
-def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=None) -> tuple[np.ndarray, np.ndarray]:
+def ball_nodes(
+    n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=None, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (b, n) and weights (b,) for the ball of radius ``r`` about the origin.
 
     Built on the spherical parameter box (radius, azimuth, polar angles),
@@ -141,9 +171,14 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=N
     of the angular sub-rule, and its weights the radial weight times the
     angular weights, both cached once per ``(n, r, m)`` (``_ball_axes``).
     The points are coordinate-major: ``points.T`` is a C-contiguous
-    n x b array (the box's nodes are C-ordered rows). Raises ``ValueError``
-    for a bad part and ``BudgetExceededError`` when ``nodes_per_axis ** n``
-    exceeds ``DEFAULT_COLUMN_BUDGET``.
+    n x b array (the box's nodes are C-ordered rows). ``out=(points,
+    weights)``, two flat float64 buffers of at least ``n b`` and ``b``
+    elements, receives ``points.T`` and the weights in a C-contiguous
+    prefix of each, and the returned arrays are views of them, valid until
+    ``out`` is written again; ``out=None`` fills two fresh buffers of
+    exactly that size. Raises ``ValueError`` for a bad part or ``out`` and
+    ``BudgetExceededError`` when ``nodes_per_axis ** n`` exceeds
+    ``DEFAULT_COLUMN_BUDGET``.
     """
     n = _integer(n, "dimension", 2)
     r = _lengths((r,), "radius")[0]
@@ -151,21 +186,31 @@ def ball_nodes(n: int, r: float, spec: QuadratureSpec = QuadratureSpec(), part=N
     _check_budget(m**n, "quadrature nodes")
     lo, hi = _part(part, m)
     rho, radial, units, angular = _ball_axes(n, r, m)
-    points = (units[:, None, :] * rho[lo:hi, None]).reshape(n, -1).T
-    return points, (radial[lo:hi, None] * angular).reshape(-1)
+    points, weights = _buffers(out, (hi - lo) * angular.size, n)
+    np.multiply(units[:, None, :], rho[lo:hi, None], out=points.reshape(n, hi - lo, -1))
+    np.multiply(radial[lo:hi, None], angular, out=weights.reshape(hi - lo, -1))
+    return points.reshape(n, -1).T, weights
 
 
 def _parts(n: int, m: int, build):
     """Yield ``(start, points, weights)`` for each part of an ``m``-per-axis rule in ``n`` dimensions.
 
-    ``build(part)`` returns one part's nodes and weights, and ``start`` is
-    the index of its first node in the whole rule. The parts are as many
-    whole first-axis slices as fit in ``BLOCK_COLUMNS`` nodes, and at least
-    one (``_block_bounds``), so no ``m^n`` array is formed.
+    ``build(part, out)`` returns one part's nodes and weights, built into
+    the buffers ``out`` (see ``box_nodes``), and ``start`` is the index of
+    its first node in the whole rule. The parts are as many whole
+    first-axis slices as fit in ``BLOCK_COLUMNS`` nodes, and at least one
+    (``_block_bounds``), so no ``m^n`` array is formed. The first part,
+    the largest, is built with ``out=None``, into two fresh buffers that
+    its builder sizes for it in the rule's own dimension; every later part
+    is built into those two, so a walk allocates its nodes once and a
+    part's arrays are valid only until the next part is built.
     """
-    start = 0
+    start, out = 0, None
     for part in _block_bounds(m, m ** (n - 1)):
-        points, weights = build(part)
+        points, weights = build(part, out)
+        if out is None:
+            # the first part's arrays fill their buffers whole and contiguously, so ravel views them
+            out = points.ravel("K"), weights
         yield start, points, weights
         start += weights.size
 
@@ -188,14 +233,17 @@ def integrate_box(g, d, spec: QuadratureSpec = QuadratureSpec()) -> float:
 
     ``g`` may be vectorized (accepting an (m, n) array) or scalar-valued on
     single points. Exact for polynomials of per-axis degree up to
-    ``2 * nodes_per_axis - 1``. The rule is built and summed part by part.
+    ``2 * nodes_per_axis - 1``. The rule is built and summed part by part
+    (``_parts``): ``g`` gets each part's nodes as a view of the walk's
+    buffers, valid during that call only, so a ``g`` that keeps its input
+    must copy it.
     """
-    return _integrate(g, np.size(d), spec.nodes_per_axis, lambda part: box_nodes(d, spec, part))
+    return _integrate(g, np.size(d), spec.nodes_per_axis, lambda part, out: box_nodes(d, spec, part, out))
 
 
 def integrate_ball(g, n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of ``g`` over the ball of radius ``r`` centered at the origin, summed part by part."""
-    return _integrate(g, n, spec.nodes_per_axis, lambda part: ball_nodes(n, r, spec, part))
+    """Integral of ``g`` over the ball of radius ``r`` centered at the origin, summed as ``integrate_box`` sums."""
+    return _integrate(g, n, spec.nodes_per_axis, lambda part, out: ball_nodes(n, r, spec, part, out))
 
 
 def _even_surface_factor(alpha: np.ndarray) -> float:

@@ -441,9 +441,10 @@ def test_limit_builds_its_nodes_once_per_part(kind, monkeypatch):
     name = f"{kind}_nodes"
     build, parts, points = getattr(limits, name), [], []
 
-    def counting_build(*args, **kwargs):
-        parts.append(kwargs.get("part", args[-1]))
-        return build(*args, **kwargs)
+    def counting_build(*args):
+        *region, part, out = args
+        parts.append(part)
+        return build(*region, part, out)
 
     call = ScalarField.__call__
 

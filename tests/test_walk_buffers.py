@@ -1,13 +1,15 @@
-"""The walk's buffer: a lazy sample's blocks are reused block to block; the field's points and the increments are not."""
+"""The walks' buffers: a lazy sample's blocks, and a limit's node parts, are reused block to block; the field's
+points and the increments are not."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from simplexgrad import gsg, regions
+from simplexgrad import gsg, limits, quadrature, regions
 from simplexgrad.fields import get_field
 from simplexgrad.gsg import EvaluationError, ScalarField, _increments, function_increments, simplex_gradient
+from simplexgrad.quadrature import QuadratureSpec, ball_nodes, box_nodes
 from simplexgrad.regions import BallRegion, HyperrectRegion, antipodal_half, ball_grid_sample, rect_grid_sample
 
 # (3, 4) unit cells from x0 = 0 at 4 columns a block: 4 blocks of one z2-slice (3 columns) each, so
@@ -130,3 +132,122 @@ def test_a_failure_in_the_third_block_names_its_column_and_point(bad, evaluate):
     with pytest.raises(EvaluationError, match=r"at column 7 \(point \[2\. 3\.\]\)") as info:
         evaluate(ScalarField(dim=2, fn=fn), (0.0, 0.0), sample)
     assert info.value.index == 7
+
+
+# the limit's node walk: m = 5 nodes an axis, so a first-axis slice holds 5^(n-1) nodes
+M = 5
+SIDES = (1.0, 0.5, 2.0, 0.75)
+
+
+def _nodes(kind: str, n: int):
+    """The rule's builder for one part, as the limit walk calls it."""
+    if kind == "box":
+        return lambda part, out=None: box_nodes(SIDES[:n], QuadratureSpec(M), part, out)
+    return lambda part, out=None: ball_nodes(n, 1.3, QuadratureSpec(M), part, out)
+
+
+@pytest.mark.parametrize("step", [2, 3], ids=["two-slices-a-part", "three-slices-a-part"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_out_gives_a_fresh_calls_nodes_and_weights_bitwise(kind, n, step, monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", step * M ** (n - 1))
+    build = _nodes(kind, n)
+    bounds = list(regions._block_bounds(M, M ** (n - 1)))
+    assert len(bounds) >= 2 and bounds[-1][1] - bounds[-1][0] < step  # the last part is short
+    size = step * M ** (n - 1)
+    out = (np.full(n * size, np.nan), np.full(size, np.nan))
+    for part in bounds:
+        points, weights = build(part, out)
+        fresh_points, fresh_weights = build(part)
+        # the same layout (box: C-ordered rows; ball: points.T C-contiguous) and the same bytes
+        assert points.shape == fresh_points.shape and points.strides == fresh_points.strides
+        assert points.tobytes() == fresh_points.tobytes() and weights.tobytes() == fresh_weights.tobytes()
+        assert np.shares_memory(points, out[0]) and np.shares_memory(weights, out[1])
+        assert points.base is out[0] and weights.base is out[1]
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        (np.zeros(2 * 25, dtype=np.float32), np.zeros(25)),
+        (np.zeros((2, 25)), np.zeros(25)),
+        (np.zeros(2 * 25), np.zeros(24)),
+        (np.zeros(4 * 25)[::2], np.zeros(25)),
+    ],
+    ids=["float32", "two-d", "short", "strided"],
+)
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_a_bad_out_is_rejected(kind, out):
+    with pytest.raises(ValueError, match="out must be two flat, C-contiguous float64 arrays of at least 50 and 25"):
+        _nodes(kind, 2)(None, out)
+
+
+def _box_moments(field):
+    return limits.box_moment_vector(field, (0.1, 0.2, 0.3), SIDES[:3], QuadratureSpec(M))
+
+
+def _ball_moments(field):
+    return limits.ball_moment_vector(field, (0.1, 0.2, 0.3), 1.3, QuadratureSpec(M))
+
+
+def _box_integral(field):
+    return quadrature.integrate_box(field.fn, SIDES[:3], QuadratureSpec(M))
+
+
+def _ball_integral(field):
+    return quadrature.integrate_ball(field.fn, 3, 1.3, QuadratureSpec(M))
+
+
+# each walk, and the module attribute through which it calls its builder
+LIMIT_WALKS = {
+    "box_moment_vector": (_box_moments, limits, "box_nodes"),
+    "ball_moment_vector": (_ball_moments, limits, "ball_nodes"),
+    "integrate_box": (_box_integral, quadrature, "box_nodes"),
+    "integrate_ball": (_ball_integral, quadrature, "ball_nodes"),
+}
+
+
+def _smooth3() -> ScalarField:
+    return ScalarField(dim=3, fn=lambda x: np.sin(x @ (0.5, 1.0, 1.5)) + (x**2).sum(axis=1))
+
+
+@pytest.mark.parametrize("name", LIMIT_WALKS)
+def test_a_limit_walk_builds_every_part_into_the_first_parts_buffers(name, monkeypatch):
+    # two 25-node slices a part: parts (0, 2), (2, 4), (4, 5), the last one short
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 2 * M**2)
+    walk, module, attr = LIMIT_WALKS[name]
+    build, built = getattr(module, attr), []
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(module, attr, recording_build)
+    got = walk(_smooth3())
+    assert [w.size for _, w in built] == [50, 50, 25]
+    (first_points, first_weights), *later = built
+    for points, weights in later:
+        assert np.shares_memory(points, first_points) and np.shares_memory(weights, first_weights)
+    # today's walk: every part built into fresh arrays, summed by the same operations
+    monkeypatch.setattr(module, attr, lambda *args: build(*args[:-1]))
+    want = walk(_smooth3())
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_a_field_keeping_its_input_over_a_limit_keeps_each_parts_points(kind, monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 2 * M**2)
+    kept = []
+    smooth = _smooth3()
+    field = ScalarField(dim=3, fn=lambda x: kept.append(x) or smooth.fn(x))
+    x0 = np.array([0.1, 0.2, 0.3])
+    (_box_moments if kind == "box" else _ball_moments)(field)
+    parts = kept[1:]  # kept[0] is x0
+    assert len(parts) == 3
+    for k, a in enumerate(parts):
+        assert not any(np.shares_memory(a, b) for b in parts[k + 1 :])
+    # after the walk, each array still holds x0 plus its own part's nodes
+    build = _nodes(kind, 3)
+    for (lo, hi), a in zip([(0, 2), (2, 4), (4, 5)], parts):
+        nodes, _ = build((lo, hi))
+        assert np.array_equal(a, nodes + x0)
