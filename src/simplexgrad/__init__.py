@@ -22,7 +22,7 @@ from .closed_forms import (
     grid_gram_inverse,
 )
 from .experiments import ExperimentConfig, ConvergenceResult, ReproduceReport, convergence, reproduce
-from .fields import FieldEntry, check_gradient_consistency, field_ids, get_field, make_affine
+from .fields import FieldEntry, field_ids, get_field, make_affine
 from .gsg import EvaluationError, GradientEstimate, ScalarField, function_increments, simplex_gradient
 from .limits import (
     CapabilityError,
@@ -33,14 +33,12 @@ from .limits import (
     limit_gradient_box,
     taylor_diagnostics,
 )
-from .linalg import gamma_half_integer, pseudoinverse, spectral_norm
+from .linalg import gamma_half_integer, pseudoinverse
 from .quadrature import (
     QuadratureSpec,
     abs_monomial_ball_integral,
     ball_nodes,
     box_nodes,
-    integrate_ball,
-    integrate_box,
     monomial_ball_integral,
 )
 from .regions import (
@@ -83,7 +81,6 @@ __all__ = [
     "box_moment_vector",
     "box_nodes",
     "centered_bound",
-    "check_gradient_consistency",
     "classical_bound",
     "convergence",
     "dense_limit_matrix",
@@ -94,8 +91,6 @@ __all__ = [
     "grid_gram",
     "grid_gram_inverse",
     "grid_jacobian",
-    "integrate_ball",
-    "integrate_box",
     "limit_bound_ball",
     "limit_bound_box",
     "limit_gradient_ball",
@@ -108,6 +103,5 @@ __all__ = [
     "reproduce",
     "sample_radius",
     "simplex_gradient",
-    "spectral_norm",
     "taylor_diagnostics",
 ]

@@ -57,7 +57,10 @@ def _parse_power(tok: str) -> int:
     tok = tok.strip()
     if not tok.startswith("2^"):
         raise ValueError(f"expected a power of two like 2^4, got {tok!r}")
-    return int(tok[2:])
+    k = int(tok[2:])
+    if k < 0:
+        raise ValueError(f"the exponent must be a nonnegative integer, got {tok!r}")
+    return k
 
 
 def _parse_numbers(option: str, text: str | None) -> tuple[float, ...] | None:

@@ -23,7 +23,6 @@ __all__ = [
     "get_field",
     "field_ids",
     "make_affine",
-    "check_gradient_consistency",
 ]
 
 
@@ -140,20 +139,3 @@ def get_field(field_id: str) -> FieldEntry:
 def field_ids() -> list[str]:
     return sorted(_REGISTRY)
 
-
-def check_gradient_consistency(field: ScalarField, points) -> float:
-    """Largest deviation between the analytic gradient and central differences of step 1e-6.
-
-    Used to validate registry entries; returns the max absolute
-    componentwise difference over the given points.
-    """
-    step = 1e-6
-    worst = 0.0
-    for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        g = field.gradient(x)
-        for i in range(field.dim):
-            e = np.zeros(field.dim)
-            e[i] = step
-            fd = (float(field(x + e)) - float(field(x - e))) / (2.0 * step)
-            worst = max(worst, abs(fd - g[i]))
-    return worst

@@ -23,7 +23,8 @@ import numpy as np
 
 from .closed_forms import ball_volume, dense_limit_matrix
 from .gsg import EvaluationError, ScalarField, _increments, _quiet_overflow
-from .quadrature import QuadratureSpec, _parts, ball_nodes, box_nodes
+from .quadrature import QuadratureSpec, ball_nodes, box_nodes
+from .regions import _block_bounds
 
 __all__ = [
     "CapabilityError",
@@ -52,23 +53,47 @@ class LimitGradientResult:
     nodes_per_axis: int
 
 
+def _parts(n: int, m: int, build):
+    """Yield ``(start, nodes, weights)`` for each part of an ``m``-per-axis rule in ``n`` dimensions.
+
+    ``build(part, out)`` returns one part's points (b, n) and weights,
+    built into the buffers ``out`` (see ``quadrature.box_nodes``);
+    ``nodes`` is ``points.T``, one column a node, and ``start`` is the
+    index of the part's first node in the whole rule. The parts are as many
+    whole first-axis slices as fit in ``BLOCK_COLUMNS`` nodes, and at least
+    one (``regions._block_bounds``), so no ``m^n`` array is formed. The
+    first part, the largest, is built with ``out=None``, into two fresh
+    buffers that its builder sizes for it in the rule's own dimension;
+    every later part is built into those two, so a walk allocates its
+    nodes once and a part's arrays are valid only until the next part is
+    built.
+    """
+    start, out = 0, None
+    for part in _block_bounds(m, m ** (n - 1)):
+        points, weights = build(part, out)
+        if out is None:
+            # the first part's arrays fill their buffers whole and contiguously, so ravel views them
+            out = points.ravel("K"), weights
+        yield start, points.T, weights
+        start += weights.size
+
+
 def _moments(field: ScalarField, x0, m: int, build) -> np.ndarray:
     """Moment vector ``T = sum_j w_j t(p_j) p_j`` over an ``m``-per-axis rule, built and summed part by part.
 
     t is the increment ``f(x0 + p) - f(x0)``; f(x0) is evaluated once.
     ``build(part, out)`` returns one part's nodes and weights, built into
-    the walk's two node buffers (see ``quadrature._parts``: allocated for
-    the first, largest part and reused for every later one), so a part's
-    nodes and weights are read before the next part overwrites them. Each
+    the walk's two node buffers (see ``_parts``: allocated for the first,
+    largest part and reused for every later one), so a part's nodes and
+    weights are read before the next part overwrites them. Each
     part's weights ride through the shared increments walk as its block's
     payload, and scale its increments in place; the points the field gets
     are fresh per part (``gsg._increments``).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     moments = np.zeros(field.dim)
-    parts = ((start, points.T, w) for start, points, w in _parts(field.dim, m, build))
     with _quiet_overflow():
-        for _, block, increments, w in _increments(field, x0, parts, unit="node"):
+        for _, block, increments, w in _increments(field, x0, _parts(field.dim, m, build), unit="node"):
             increments *= w
             moments += increments @ block.T
     if not np.isfinite(moments).all():

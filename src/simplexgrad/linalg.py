@@ -1,8 +1,8 @@
 """Dense linear-algebra kernel.
 
-Small, deterministic wrappers used by every other module: Moore-Penrose
-pseudoinverse with an explicit rank cutoff, spectral norm, and exact gamma
-values at half-integer arguments.
+Small, deterministic helpers used by the other modules: the Moore-Penrose
+pseudoinverse with an explicit rank cutoff (shared with the estimator's
+solve route), and exact gamma values at half-integer arguments.
 """
 
 from __future__ import annotations
@@ -15,20 +15,8 @@ from .regions import _integer
 
 __all__ = [
     "pseudoinverse",
-    "spectral_norm",
     "gamma_half_integer",
 ]
-
-
-def _as_finite_2d(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-d array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def _rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
@@ -43,17 +31,17 @@ def pseudoinverse(a) -> np.ndarray:
     route takes too, count as zero, which keeps near-rank-deficient sample
     grids (small subdivision counts) stable.
     """
-    arr = _as_finite_2d(a, "a")
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError("a must be a nonempty 2-d array")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("a contains non-finite entries")
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
     cutoff = _rank_cutoff(arr.shape, s[0] if s.size else 0.0)
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value of ``a``."""
-    arr = _as_finite_2d(a, "a")
-    return float(np.linalg.norm(arr, ord=2))
 
 
 def gamma_half_integer(two_k: int) -> float:

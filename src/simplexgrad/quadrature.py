@@ -1,9 +1,11 @@
-"""Deterministic integration over boxes and balls.
+"""Deterministic quadrature rules on boxes and balls.
 
-Tensor-product Gauss-Legendre rules (no randomness), plus exact
-gamma-function oracles for monomial integrals over balls. The monomial
-oracles are the independent reference values the quadrature is tested
-against.
+Builds tensor-product Gauss-Legendre nodes and weights (no randomness);
+it evaluates nothing. The integral of a vectorized ``g`` is
+``weights @ g(points)``, and a large rule is summed part by part with
+``part=(lo, hi)``; ``limits`` sums its moment integrals that way. The
+exact gamma-function oracles for monomial integrals over balls are the
+independent reference values the rules are tested against.
 """
 
 from __future__ import annotations
@@ -15,16 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gsg import ScalarField
 from .linalg import gamma_half_integer
-from .regions import _along, _block_bounds, _check_budget, _integer, _integers, _lengths, _spherical_map, _trig
+from .regions import _along, _check_budget, _integer, _integers, _lengths, _spherical_map, _trig
 
 __all__ = [
     "QuadratureSpec",
     "box_nodes",
     "ball_nodes",
-    "integrate_box",
-    "integrate_ball",
     "monomial_ball_integral",
     "abs_monomial_ball_integral",
 ]
@@ -190,60 +189,6 @@ def ball_nodes(
     np.multiply(units[:, None, :], rho[lo:hi, None], out=points.reshape(n, hi - lo, -1))
     np.multiply(radial[lo:hi, None], angular, out=weights.reshape(hi - lo, -1))
     return points.reshape(n, -1).T, weights
-
-
-def _parts(n: int, m: int, build):
-    """Yield ``(start, points, weights)`` for each part of an ``m``-per-axis rule in ``n`` dimensions.
-
-    ``build(part, out)`` returns one part's nodes and weights, built into
-    the buffers ``out`` (see ``box_nodes``), and ``start`` is the index of
-    its first node in the whole rule. The parts are as many whole
-    first-axis slices as fit in ``BLOCK_COLUMNS`` nodes, and at least one
-    (``_block_bounds``), so no ``m^n`` array is formed. The first part,
-    the largest, is built with ``out=None``, into two fresh buffers that
-    its builder sizes for it in the rule's own dimension; every later part
-    is built into those two, so a walk allocates its nodes once and a
-    part's arrays are valid only until the next part is built.
-    """
-    start, out = 0, None
-    for part in _block_bounds(m, m ** (n - 1)):
-        points, weights = build(part, out)
-        if out is None:
-            # the first part's arrays fill their buffers whole and contiguously, so ravel views them
-            out = points.ravel("K"), weights
-        yield start, points, weights
-        start += weights.size
-
-
-def _integrate(g, n: int, m: int, build) -> float:
-    """``sum_j w_j g(p_j)`` over the parts of an ``m``-per-axis rule (see ``_parts``)."""
-    field = ScalarField(n, g)
-    total = 0.0
-    for start, points, weights in _parts(n, m, build):
-        vals = field(points)
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise ValueError(f"integrand returned a non-finite value at node {start + bad}: {points[bad]}")
-        total += weights @ vals
-    return float(total)
-
-
-def integrate_box(g, d, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of ``g`` over ``[0, d_1] x ... x [0, d_n]``.
-
-    ``g`` may be vectorized (accepting an (m, n) array) or scalar-valued on
-    single points. Exact for polynomials of per-axis degree up to
-    ``2 * nodes_per_axis - 1``. The rule is built and summed part by part
-    (``_parts``): ``g`` gets each part's nodes as a view of the walk's
-    buffers, valid during that call only, so a ``g`` that keeps its input
-    must copy it.
-    """
-    return _integrate(g, np.size(d), spec.nodes_per_axis, lambda part, out: box_nodes(d, spec, part, out))
-
-
-def integrate_ball(g, n: int, r: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of ``g`` over the ball of radius ``r`` centered at the origin, summed as ``integrate_box`` sums."""
-    return _integrate(g, n, spec.nodes_per_axis, lambda part, out: ball_nodes(n, r, spec, part, out))
 
 
 def _even_surface_factor(alpha: np.ndarray) -> float:

@@ -86,3 +86,31 @@ def test_ties_count_for_neither_side(tmp_path):
     assert entry["run_s"]["change_wins"] == 1  # pair 2 only: pairs 1 and 3 tie, pair 4 the parent wins
     assert entry["setup_s"]["change_wins"] == 0  # every pair ties
     assert bench_pairs.wins([1.0, 2.0], [2.0, 1.0], "higher") == 1
+
+
+_STUB_RUN = {
+    "parent": """import json
+print('env ' + json.dumps({"commit": "parent-commit"}))
+metrics = {name: {"value": 1.0, "unit": "s"} for name in ("setup_s", "cold_run_s", "run_s", "peak_rss_mb")}
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
+""",
+    "change": """import sys
+print("Fatal: too few passes of rect-grid completed", file=sys.stderr)
+print("second line", file=sys.stderr)
+sys.exit(1)
+""",
+}
+
+
+def test_a_failed_run_names_its_side_pair_workload_and_stderr(tmp_path, capsys):
+    for side, source in _STUB_RUN.items():
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(source, encoding="utf-8")
+    out = tmp_path / "BENCH.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "rect-grid", "--seed", "7",
+            "--seconds", "1", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: rect-grid, change side, pair 0: perfbench/run.py exited 1; stderr: "
+                   "Fatal: too few passes of rect-grid completed | second line\n")
+    assert not out.exists()

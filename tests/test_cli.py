@@ -283,6 +283,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid schedule {schedule!r} (") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("schedule", ["2^-1..2^2", "2^-3..2^-1"])
+    def test_a_negative_schedule_exponent_gets_the_usage_line(self, schedule, capsys):
+        # 2^-1 made a count of 0.5, which failed later as "subdivision counts must be integers"
+        code = main(["convergence", "--field", "cubic2", "--region", "rect", "--schedule", schedule, "--nodes", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid schedule {schedule!r} (the exponent must be a nonnegative integer, got ")
+        assert err.endswith("; use '2^a..2^b' (powers of two) or a list like '4,8,16'\n") and err.count("\n") == 1
+
     def test_reproduce_into_an_existing_file_is_a_usage_error(self, tmp_path, capsys):
         blocker = tmp_path / "artifacts"
         blocker.write_text("not a directory")

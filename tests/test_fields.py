@@ -10,10 +10,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplexgrad.fields import check_gradient_consistency, field_ids, get_field, make_affine
+from simplexgrad.fields import field_ids, get_field, make_affine
 from simplexgrad.gsg import ScalarField
 
 RNG = np.random.default_rng(99)
+
+
+def check_gradient_consistency(field: ScalarField, points) -> float:
+    """Largest deviation between the analytic gradient and central differences of step 1e-6.
+
+    Used to validate registry entries; returns the max absolute
+    componentwise difference over the given points.
+    """
+    step = 1e-6
+    worst = 0.0
+    for x in np.atleast_2d(np.asarray(points, dtype=float)):
+        g = field.gradient(x)
+        for i in range(field.dim):
+            e = np.zeros(field.dim)
+            e[i] = step
+            fd = (float(field(x + e)) - float(field(x - e))) / (2.0 * step)
+            worst = max(worst, abs(fd - g[i]))
+    return worst
 
 
 def seeded_points_in_ball(center, radius, count=1000):

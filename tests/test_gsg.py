@@ -15,7 +15,7 @@ from simplexgrad.gsg import (
 )
 from simplexgrad.limits import limit_gradient_box
 from simplexgrad.linalg import pseudoinverse
-from simplexgrad.quadrature import QuadratureSpec, box_nodes, integrate_box
+from simplexgrad.quadrature import QuadratureSpec, box_nodes
 from simplexgrad.regions import HyperrectRegion, ball_grid_sample, BallRegion, rect_grid_sample
 
 RNG = np.random.default_rng(314)
@@ -96,9 +96,8 @@ class TestFunctionIncrements:
     [
         lambda field: function_increments(field, (0.0, 0.0), SQUARE_SAMPLE),
         lambda field: limit_gradient_box(field, (0.0, 0.0), (1.0, 1.0), QuadratureSpec(4)),
-        lambda field: integrate_box(field.fn, (1.0, 1.0), QuadratureSpec(4)),
     ],
-    ids=["function_increments", "limit_gradient_box", "integrate_box"],
+    ids=["function_increments", "limit_gradient_box"],
 )
 def test_memory_error_propagates_after_one_call(evaluate):
     calls = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
-from simplexgrad.linalg import gamma_half_integer, pseudoinverse, spectral_norm
+from simplexgrad.linalg import gamma_half_integer, pseudoinverse
 
 RNG = np.random.default_rng(20240811)
 
@@ -57,29 +57,6 @@ class TestPseudoinverse:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             pseudoinverse(np.array([[1.0, np.nan]]))
-
-
-class TestSpectralNorm:
-    def test_zero(self):
-        assert spectral_norm(np.zeros((3, 4))) == 0.0
-
-    def test_diagonal_max_abs(self):
-        assert spectral_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0, abs=1e-12)
-
-    def test_matches_gram_eigenvalue(self):
-        for _ in range(30):
-            a = RNG.normal(size=(int(RNG.integers(1, 6)), int(RNG.integers(1, 8))))
-            lam = np.linalg.eigvalsh(a.T @ a)[-1]
-            assert spectral_norm(a) == pytest.approx(math.sqrt(max(lam, 0.0)), abs=1e-10)
-
-    def test_normalized_limit_matrix_value(self):
-        # n = 2 normalized dense-limit matrix has spectral norm 12
-        m = np.array([[48.0 / 7.0, -36.0 / 7.0], [-36.0 / 7.0, 48.0 / 7.0]])
-        assert spectral_norm(m) == pytest.approx(12.0, abs=1e-10)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            spectral_norm(np.array([[np.inf]]))
 
 
 class TestGammaHalfInteger:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from simplexgrad import gsg, limits, quadrature, regions
+from simplexgrad import gsg, limits, regions
 from simplexgrad.fields import get_field
 from simplexgrad.gsg import EvaluationError, ScalarField, _increments, function_increments, simplex_gradient
 from simplexgrad.quadrature import QuadratureSpec, ball_nodes, box_nodes
@@ -190,20 +190,10 @@ def _ball_moments(field):
     return limits.ball_moment_vector(field, (0.1, 0.2, 0.3), 1.3, QuadratureSpec(M))
 
 
-def _box_integral(field):
-    return quadrature.integrate_box(field.fn, SIDES[:3], QuadratureSpec(M))
-
-
-def _ball_integral(field):
-    return quadrature.integrate_ball(field.fn, 3, 1.3, QuadratureSpec(M))
-
-
 # each walk, and the module attribute through which it calls its builder
 LIMIT_WALKS = {
     "box_moment_vector": (_box_moments, limits, "box_nodes"),
     "ball_moment_vector": (_ball_moments, limits, "ball_nodes"),
-    "integrate_box": (_box_integral, quadrature, "box_nodes"),
-    "integrate_ball": (_ball_integral, quadrature, "ball_nodes"),
 }
 
 

@@ -20,7 +20,9 @@ side), and the change's median relative to the parent's, in percent. With
 per-layer medians under ``traced_single_run``. Each workload's entry keeps
 the stderr lines of every run, prefixed with their pair, per side: where
 ``run.py`` says why a pass failed (a worker's timeout or exit code, or the
-check's problems).
+check's problems). A run that exits nonzero ends the series: one line on
+stderr names its workload, side and pair, the exit code and ``run.py``'s
+stderr lines, and the script exits 1 without writing the file.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 
 
+class RunFailed(RuntimeError):
+    """A ``perfbench/run.py`` run exited nonzero; the message gives its exit code and stderr lines."""
+
+
 def end_to_end() -> dict[str, str]:
     """Each end-to-end metric of ``BENCHMARK.json`` and its better direction ("lower" or "higher")."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -46,7 +52,9 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int, trace:
     """The JSON result, with its stderr lines under ``"stderr"``, and the env record of one ``perfbench/run.py`` run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        raise RunFailed(f"perfbench/run.py exited {done.returncode}; stderr: " + " | ".join(done.stderr.splitlines()))
     lines = done.stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
     return {**json.loads(lines[-1]), "stderr": done.stderr.splitlines()}, env
@@ -65,6 +73,14 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
 
 
+def run_side(run, checkout: Path, side: str, label: str, workload: str, seed: int, seconds: int, trace: int):
+    """``run(checkout, ...)``; a ``RunFailed`` is raised again with the workload, the side and ``label`` (the pair)."""
+    try:
+        return run(checkout, workload, seed, seconds, trace)
+    except RunFailed as exc:
+        raise RunFailed(f"{workload}, {side} side, {label}: {exc}") from None
+
+
 def pairs(run, parent: Path, change: Path, workload: str, seed: int, seconds: int, count: int) -> dict:
     """Run ``count`` alternating pairs of one workload; return the values, env records and pass counts per side."""
     checkouts = dict(zip(SIDES, (parent, change)))
@@ -72,7 +88,7 @@ def pairs(run, parent: Path, change: Path, workload: str, seed: int, seconds: in
            for side in SIDES}
     for k in range(count):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            result, env = run(checkouts[side], workload, seed, seconds, 0)
+            result, env = run_side(run, checkouts[side], side, f"pair {k}", workload, seed, seconds, 0)
             record = got[side]
             record["values"].append({name: m["value"] for name, m in result["metrics"].items()})
             record["env"] = env
@@ -104,7 +120,8 @@ def summary(got: dict, metrics: dict[str, str]) -> dict:
 
 def traced(run, parent: Path, change: Path, workload: str, seed: int, seconds: int) -> dict:
     """Per-layer medians of one traced run per side."""
-    results = {side: run(checkout, workload, seed, seconds, 1)[0] for side, checkout in zip(SIDES, (parent, change))}
+    results = {side: run_side(run, checkout, side, "traced run", workload, seed, seconds, 1)[0]
+               for side, checkout in zip(SIDES, (parent, change))}
     out = {
         name: {**{side: results[side]["metrics"][name]["value"] for side in SIDES}, "unit": m["unit"]}
         for name, m in results["parent"]["metrics"].items()
@@ -113,22 +130,8 @@ def traced(run, parent: Path, change: Path, workload: str, seed: int, seconds: i
     return out
 
 
-def main(argv=None, run=run_benchmark) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", action="append", required=True, help="a workload; give once per workload")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=28)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--traced-seconds", type=int, default=0, help="one --trace 1 run per side of this length")
-    parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC that the change claims to improve")
-    parser.add_argument("--claim-bound", default="", help="what the claim must meet")
-    parser.add_argument("--note", action="append", default=[], help="a line for the notes list")
-    parser.add_argument("--out", type=Path, required=True, help="the BENCH file to write")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+def bench_file(args, run) -> dict:
+    """The BENCH file's contents from the pair series (and traced runs) that ``args`` asks for."""
     metrics = end_to_end()
     workloads, env = {}, {}
     for workload in args.workload:
@@ -163,6 +166,30 @@ def main(argv=None, run=run_benchmark) -> int:
         claimed = {"workload": workload, "metric": metric, "bound": args.claim_bound}
     bench["claimed"] = claimed
     bench["notes"] = args.note
+    return bench
+
+
+def main(argv=None, run=run_benchmark) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True, help="a workload; give once per workload")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=int, default=28)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--traced-seconds", type=int, default=0, help="one --trace 1 run per side of this length")
+    parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC that the change claims to improve")
+    parser.add_argument("--claim-bound", default="", help="what the claim must meet")
+    parser.add_argument("--note", action="append", default=[], help="a line for the notes list")
+    parser.add_argument("--out", type=Path, required=True, help="the BENCH file to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    try:
+        bench = bench_file(args, run)
+    except RunFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
