@@ -13,7 +13,7 @@ from simplexgrad.gsg import (
     function_increments,
     simplex_gradient,
 )
-from simplexgrad.limits import limit_gradient_box
+from simplexgrad.limits import limit_gradient_ball, limit_gradient_box
 from simplexgrad.linalg import pseudoinverse
 from simplexgrad.quadrature import QuadratureSpec, box_nodes
 from simplexgrad.regions import HyperrectRegion, ball_grid_sample, BallRegion, rect_grid_sample
@@ -96,8 +96,9 @@ class TestFunctionIncrements:
     [
         lambda field: function_increments(field, (0.0, 0.0), SQUARE_SAMPLE),
         lambda field: limit_gradient_box(field, (0.0, 0.0), (1.0, 1.0), QuadratureSpec(4)),
+        lambda field: limit_gradient_ball(field, (0.0, 0.0), 1.0, QuadratureSpec(4)),
     ],
-    ids=["function_increments", "limit_gradient_box"],
+    ids=["function_increments", "limit_gradient_box", "limit_gradient_ball"],
 )
 def test_memory_error_propagates_after_one_call(evaluate):
     calls = []

@@ -58,6 +58,26 @@ class TestPseudoinverse:
         with pytest.raises(ValueError, match="non-finite"):
             pseudoinverse(np.array([[1.0, np.nan]]))
 
+    def test_rejects_infinite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            pseudoinverse(np.array([[np.inf]]))
+
+    def test_zero_matrix_has_zero_pseudoinverse(self):
+        # every singular value is at the cutoff 0, so the rank is 0
+        assert np.array_equal(pseudoinverse(np.zeros((3, 4))), np.zeros((4, 3)))
+
+    def test_vector_is_one_row(self):
+        p = pseudoinverse(np.array([3.0, 4.0]))
+        assert p.shape == (2, 1)
+        assert np.allclose(p[:, 0], [3.0 / 25.0, 4.0 / 25.0], atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "a", [np.zeros((0, 3)), np.float64(2.0), np.ones((2, 2, 2))], ids=["empty", "scalar", "three-d"]
+    )
+    def test_rejects_anything_but_a_nonempty_matrix(self, a):
+        with pytest.raises(ValueError, match="nonempty 2-d array"):
+            pseudoinverse(a)
+
 
 class TestGammaHalfInteger:
     def test_known_values(self):

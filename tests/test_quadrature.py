@@ -9,7 +9,8 @@ from scipy.integrate import dblquad
 
 from simplexgrad import regions
 from simplexgrad.closed_forms import ball_volume
-from simplexgrad.gsg import ScalarField
+from simplexgrad.gsg import EvaluationError, ScalarField
+from simplexgrad.limits import box_moment_vector
 from simplexgrad.quadrature import (
     QuadratureSpec,
     _ball_axes,
@@ -65,6 +66,12 @@ class TestIntegrateBox:
         got = box_integral(lambda x: np.exp(x[:, 0]) * np.cos(x[:, 1]), (1.0, 2.0))
         oracle, _ = dblquad(lambda y, x: math.exp(x) * math.cos(y), 0.0, 1.0, 0.0, 2.0)
         assert got == pytest.approx(oracle, rel=1e-10)
+
+    def test_non_finite_integrand_names_node(self):
+        # the package evaluates a field over a rule only in the moment walk, which names the failing node
+        field = ScalarField(2, lambda x: np.where(x[:, 0] > 0.5, np.nan, 1.0))
+        with pytest.raises(EvaluationError, match="node"):
+            box_moment_vector(field, (0.0, 0.0), (1.0, 1.0))
 
     def test_invalid_sides(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,13 @@ from simplexgrad.bounds import centered_bound, classical_bound
 from simplexgrad.experiments import ExperimentConfig, antipodal_half, convergence
 from simplexgrad.fields import get_field
 from simplexgrad.gsg import EvaluationError, ScalarField, function_increments, simplex_gradient
-from simplexgrad.limits import limit_gradient_ball, limit_gradient_box, taylor_diagnostics
+from simplexgrad.limits import (
+    ball_moment_vector,
+    box_moment_vector,
+    limit_gradient_ball,
+    limit_gradient_box,
+    taylor_diagnostics,
+)
 from simplexgrad.linalg import pseudoinverse
 from simplexgrad.quadrature import QuadratureSpec, ball_nodes, box_nodes
 from simplexgrad.regions import (
@@ -209,6 +215,18 @@ def test_later_node_block_names_the_global_node(monkeypatch):
         limit_gradient_box(field, (0.0, 0.0), (1.0, 1.0), spec)
 
 
+def test_later_integrand_part_names_the_global_node(monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 8)
+    spec = QuadratureSpec(8)
+    points, _ = ball_nodes(2, 1.0, spec)
+    first = int(np.argmax(points[:, 0] > 0.5))
+    assert first >= 8  # not in the first part
+    field = ScalarField(dim=2, fn=lambda x: np.where(x[:, 0] > 0.5, np.inf, x[:, 0]))
+    with pytest.raises(EvaluationError, match=rf"field evaluation failed at node {first} \(point") as info:
+        limit_gradient_ball(field, (0.0, 0.0), 1.0, spec)
+    assert info.value.index == first
+
+
 def test_blocked_moments_agree_with_one_block(monkeypatch):
     field = _smooth(2)
     whole = limit_gradient_box(field, (0.2, 0.1), (1.0, 2.0), QuadratureSpec(16)).estimate
@@ -401,14 +419,16 @@ def test_limit_peaks_at_a_few_parts(limit):
     assert peak < 4 * 2**20
 
 
-_TAYLOR_SPLITS = {
+_SPLITS_AND_INTEGRALS = {
     "ball-split": lambda f, x0, spec: taylor_diagnostics(f, x0, r=1.0, spec=spec),
     "box-split": lambda f, x0, spec: taylor_diagnostics(f, x0, d=(1.0, 0.5, 2.0), spec=spec),
+    "integrate-ball": lambda f, x0, spec: ball_moment_vector(f, x0, 1.0, spec),
+    "integrate-box": lambda f, x0, spec: box_moment_vector(f, x0, (1.0, 0.5, 2.0), spec),
 }
 
 
-@pytest.mark.parametrize("run", _TAYLOR_SPLITS.values(), ids=_TAYLOR_SPLITS.keys())
-def test_taylor_split_peaks_at_a_few_parts(run):
+@pytest.mark.parametrize("run", _SPLITS_AND_INTEGRALS.values(), ids=_SPLITS_AND_INTEGRALS.keys())
+def test_taylor_split_and_integrals_peak_at_a_few_parts(run):
     entry = get_field("affine3")
     spec = QuadratureSpec(96)
     tracemalloc.start()
@@ -417,7 +437,8 @@ def test_taylor_split_peaks_at_a_few_parts(run):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # built as the whole rule, these peaked at 47.9 MiB (ball split) and 33.8 MiB (box split)
+    # built as the whole rule, the splits peaked at 47.9 MiB (ball) and 33.8 MiB (box); each integral here is
+    # the moment walk that a split takes
     assert peak < 4 * 2**20
 
 

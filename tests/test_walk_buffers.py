@@ -225,6 +225,22 @@ def test_a_limit_walk_builds_every_part_into_the_first_parts_buffers(name, monke
 
 
 @pytest.mark.parametrize("kind", ["box", "ball"])
+def test_parts_start_at_their_global_node_and_cover_the_rule(kind, monkeypatch):
+    monkeypatch.setattr(regions, "BLOCK_COLUMNS", 2 * M**2)
+    build = _nodes(kind, 3)
+    starts, nodes, weights = [], [], []
+    for start, block, w in limits._parts(3, M, build):
+        # copied, since the next part is built into the same buffers
+        starts.append(start)
+        nodes.append(block.copy())
+        weights.append(w.copy())
+    assert starts == [0, 50, 100]
+    points, whole = build(None)
+    assert np.concatenate(nodes, axis=1).tobytes() == np.ascontiguousarray(points.T).tobytes()
+    assert np.concatenate(weights).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
 def test_a_field_keeping_its_input_over_a_limit_keeps_each_parts_points(kind, monkeypatch):
     monkeypatch.setattr(regions, "BLOCK_COLUMNS", 2 * M**2)
     kept = []
